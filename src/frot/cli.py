@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(p)
     _add_common(p)
     p.add_argument("--solver", choices=("exact_emd", "sinkhorn", "lp"),
-                   default="sinkhorn", help="subproblem solver, or exact LP")
+                   default="exact_emd", help="subproblem solver, or exact LP")
     p.set_defaults(func=cmd_frot)
 
     p = sub.add_parser("frwd", help="feature-robust Wasserstein distance")

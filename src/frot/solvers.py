@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.special import xlogy
 
 from .measures import TransportPlan
@@ -25,6 +25,9 @@ class SolverFailure(RuntimeError):
 
 #: below this regularization, Sinkhorn switches to log-domain updates
 LOG_DOMAIN_THRESHOLD = 0.05
+
+#: exp(x) rounds to exactly 0.0 in double precision for every x <= this
+_EXP_UNDERFLOW = -746.0
 
 
 @dataclass(frozen=True)
@@ -242,7 +245,11 @@ def _lse(M: np.ndarray, axis: int) -> np.ndarray:
     # inline log-sum-exp: scipy's version dominates the sweep cost at desk
     # scale through argument checking overhead
     mx = M.max(axis=axis)
-    return mx + np.log(np.exp(M - np.expand_dims(mx, axis)).sum(axis=axis))
+    shifted = M - (mx[:, None] if axis == 1 else mx[None, :])
+    # exp underflows to exactly 0 below -745.14, but numpy takes a slow path
+    # there; small-epsilon kernels are mostly such entries, so skip them
+    terms = np.exp(shifted, out=np.zeros(shifted.shape), where=shifted > _EXP_UNDERFLOW)
+    return mx + np.log(terms.sum(axis=axis))
 
 
 @dataclass(frozen=True)
@@ -285,6 +292,25 @@ def emd_exact_solve(a, b, C) -> EmdResult:
         dual_row=duals[:n].copy(),
         dual_col=duals[n:].copy(),
     )
+
+
+def assignment_plan(a, b, C) -> np.ndarray | None:
+    """Exact OT plan by linear assignment when both weight vectors are one
+    constant of the same length, else ``None``.
+
+    For uniform weights and n = m some optimal vertex of the transportation
+    polytope is a permutation matrix scaled by 1/n (Birkhoff-von Neumann),
+    which ``linear_sum_assignment`` finds without an LP.  Plan only: callers
+    that need the marginal duals, or other weights, use ``emd_exact_solve``.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if a.size != b.size or np.any(a != a[0]) or np.any(b != a[0]):
+        return None
+    rows, cols = linear_sum_assignment(C)
+    plan = np.zeros(np.shape(C))
+    plan[rows, cols] = a[0]
+    return plan
 
 
 def sorted_wasserstein_1d(xs, ys, p: float = 1.0) -> float:

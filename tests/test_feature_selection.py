@@ -142,6 +142,25 @@ def test_wasserstein_sort_falls_back_for_unequal_counts():
     assert ranking.order[0] == 0
 
 
+def test_wasserstein_sort_unequal_counts_matches_exact_solver():
+    # continuous samples, and small integers that put ties inside and
+    # across the two classes
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n, m = 7 + seed, 12 - seed // 2
+        if seed % 2:
+            class1 = rng.integers(0, 4, size=(n, 3)).astype(float)
+            class2 = rng.integers(0, 4, size=(m, 3)).astype(float)
+        else:
+            class1 = rng.normal(size=(n, 3))
+            class2 = rng.normal(loc=0.3, size=(m, 3))
+        scores = baseline_rank(class1, class2, "wasserstein_sort").importances
+        for k in range(3):
+            C = np.abs(class1[:, k][:, None] - class2[:, k][None, :])
+            exact = emd_exact_solve(np.full(n, 1.0 / n), np.full(m, 1.0 / m), C)
+            assert scores[k] == pytest.approx(exact.objective, rel=1e-12, abs=1e-15)
+
+
 def test_constant_feature_correlation_zero_by_convention():
     class1 = np.column_stack([np.full(8, 2.0), np.arange(8.0)])
     class2 = np.column_stack([np.full(8, 2.0), np.arange(8.0) + 3.0])

@@ -194,6 +194,50 @@ def test_fw_early_stop_on_gap():
     assert sol.metadata["iterations"] < 500
 
 
+def _count_lp_calls(monkeypatch):
+    calls = []
+
+    def counting(a, b, C):
+        calls.append(C.shape)
+        return emd_exact_solve(a, b, C)
+
+    monkeypatch.setattr("frot.minmax.emd_exact_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n, m, uniform, lp_calls", [
+    (6, 6, True, 0),    # square, uniform: every subproblem is an assignment
+    (6, 7, True, 5),    # non-square: one LP per iteration
+    (6, 6, False, 5),   # square, non-uniform weights: one LP per iteration
+])
+def test_fw_exact_subproblem_dispatch(monkeypatch, n, m, uniform, lp_calls):
+    calls = _count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(40)
+    src, dst = random_grouped_pair(rng, n, m, [1, 2], uniform_weights=uniform)
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    sol = frot_fw_solve(src, dst, costs,
+                        FrotConfig(eta=0.5, fw_iters=5, subsolver="exact_emd"))
+    assert sol.metadata["iterations"] == 5
+    assert len(calls) == lp_calls
+
+
+def test_fw_assignment_path_matches_lp_path(monkeypatch):
+    # continuous random costs: each linear subproblem has a unique optimum,
+    # so both paths visit the same vertices
+    rng = np.random.default_rng(41)
+    src, dst = random_grouped_pair(rng, 8, 8, [1, 2, 3])
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    cfg = FrotConfig(eta=0.5, fw_iters=15, subsolver="exact_emd")
+    fast = frot_fw_solve(src, dst, costs, cfg)
+    calls = _count_lp_calls(monkeypatch)
+    monkeypatch.setattr("frot.minmax.assignment_plan", lambda a, b, C: None)
+    slow = frot_fw_solve(src, dst, costs, cfg)
+    assert len(calls) == 15
+    np.testing.assert_allclose(fast.objective_trace, slow.objective_trace,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(fast.plan.matrix, slow.plan.matrix, atol=1e-12)
+
+
 def test_fw_uniform_init_requires_uniform_weights():
     rng = np.random.default_rng(32)
     src, dst = random_grouped_pair(rng, 4, 4, [2], uniform_weights=False)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from frot import (
     SinkhornConfig,
@@ -7,7 +10,7 @@ from frot import (
     sinkhorn_solve,
     sorted_wasserstein_1d,
 )
-from frot.solvers import entropy
+from frot.solvers import _lse, assignment_plan, entropy
 
 from helpers import (
     brute_force_emd_uniform,
@@ -107,6 +110,21 @@ def test_underflow_directs_to_log_domain():
     assert result.converged
 
 
+def test_lse_matches_plain_formula_bitwise():
+    # skipping the terms whose exp underflows must not change a single bit,
+    # including shifts on either side of the underflow threshold
+    rng = np.random.default_rng(5)
+    wide = rng.uniform(-3000.0, 0.0, size=(30, 40))
+    edge = rng.uniform(-750.0, -740.0, size=(30, 40))
+    edge[:, 0] = 0.0
+    edge[0, :] = 0.0
+    for M in (wide, edge):
+        for axis in (0, 1):
+            mx = M.max(axis=axis)
+            plain = mx + np.log(np.exp(M - np.expand_dims(mx, axis)).sum(axis=axis))
+            np.testing.assert_array_equal(_lse(M, axis), plain)
+
+
 def test_log_domain_auto_threshold():
     assert SinkhornConfig(epsilon=0.01).resolved_log_domain()
     assert not SinkhornConfig(epsilon=0.1).resolved_log_domain()
@@ -194,6 +212,52 @@ def test_emd_infeasible_weights_rejected():
         emd_exact_solve([0.6, 0.6], [0.5, 0.5], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         emd_exact_solve([0.5, 0.5], [0.5, 0.5], np.array([[np.nan, 0], [0, 0]]))
+
+
+@st.composite
+def _square_costs(draw):
+    """(kind, C): square cost matrices that are all zeros, small integers
+    (many ties), continuous, or continuous at a 1e-12 scale; n from 1 up.
+    Continuous entries are 0 or at least 1e-6, so that no product with the
+    plan's 1/n underflows."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["zeros", "small_int", "float", "tiny"]))
+    if kind == "zeros":
+        return kind, np.zeros((n, n))
+    if kind == "small_int":
+        return kind, draw(arrays(float, (n, n), elements=st.integers(0, 3).map(float)))
+    entries = st.one_of(st.just(0.0), st.floats(1e-6, 10.0))
+    C = draw(arrays(float, (n, n), elements=entries))
+    return kind, C * 1e-12 if kind == "tiny" else C
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_costs())
+def test_assignment_plan_is_an_exact_optimal_coupling(case):
+    kind, C = case
+    n = C.shape[0]
+    uniform = np.full(n, 1.0 / n)
+    P = assignment_plan(uniform, uniform, C)
+    assert P.shape == (n, n) and P.min() >= 0.0
+    np.testing.assert_array_equal(P.sum(axis=1), uniform)
+    np.testing.assert_array_equal(P.sum(axis=0), uniform)
+    cost = float(np.sum(P * C))
+    assert cost == pytest.approx(brute_force_emd_uniform(C), rel=1e-12, abs=0.0)
+    # HiGHS's optimality tolerances are absolute, so on continuous costs
+    # spanning many orders of magnitude the LP can stop at a slightly worse
+    # vertex; on integer costs it is exact
+    exact = emd_exact_solve(uniform, uniform, C).objective
+    assert cost <= exact + 1e-15 * max(C.max(), 1.0)
+    if kind in ("zeros", "small_int"):
+        assert cost == pytest.approx(exact, rel=1e-12, abs=1e-15)
+
+
+def test_assignment_plan_declines_other_weights():
+    C = np.ones((3, 3))
+    uniform = np.full(3, 1.0 / 3.0)
+    assert assignment_plan(uniform, [0.2, 0.3, 0.5], C) is None
+    assert assignment_plan([0.2, 0.3, 0.5], uniform, C) is None
+    assert assignment_plan(uniform, np.full(4, 0.25), np.ones((3, 4))) is None
 
 
 # ---------------------------------------------------------------------------

@@ -14,24 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GroupedMeasure, TransportPlan, _pairwise_sq_euclidean
+from .measures import GroupedMeasure, TransportPlan, _pairwise_cost, _pairwise_sq_euclidean
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, group_costs
 from .solvers import emd_exact_solve
 
 GROUND_METRICS = ("euclidean", "l1")
 
 
-def _ground_matrix(xs: np.ndarray, ys: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "euclidean":
-        return np.sqrt(_pairwise_sq_euclidean(xs, ys))
-    if kind == "l1":
-        return np.abs(xs[:, None, :] - ys[None, :, :]).sum(axis=2)
+def _check_ground_metric(kind: str) -> None:
     if kind == "squared_euclidean":
         raise ValueError(
             "squared_euclidean is not a metric (no triangle inequality); "
             "use 'euclidean' or 'l1'"
         )
-    raise ValueError(f"unknown ground metric {kind!r}, expected one of {GROUND_METRICS}")
+    if kind not in GROUND_METRICS:
+        raise ValueError(f"unknown ground metric {kind!r}, expected one of {GROUND_METRICS}")
 
 
 def wasserstein_p(src: GroupedMeasure, dst: GroupedMeasure,
@@ -40,7 +37,8 @@ def wasserstein_p(src: GroupedMeasure, dst: GroupedMeasure,
     solved exactly."""
     if p < 1:
         raise ValueError("order p must be at least 1")
-    D = _ground_matrix(src.points, dst.points, distance_kind)
+    _check_ground_metric(distance_kind)
+    D = _pairwise_cost(src.points, dst.points, distance_kind)
     result = emd_exact_solve(src.weights, dst.weights, D**p)
     return float(max(result.objective, 0.0) ** (1.0 / p))
 
@@ -61,9 +59,10 @@ class FrwdResult:
 
 
 def _group_power_costs(src, dst, distance_kind, p):
+    _check_ground_metric(distance_kind)
     stack = np.empty((src.n_groups, src.n_points, dst.n_points))
     for k in range(src.n_groups):
-        stack[k] = _ground_matrix(src.group(k), dst.group(k), distance_kind) ** p
+        stack[k] = _pairwise_cost(src.group(k), dst.group(k), distance_kind) ** p
     return stack
 
 

@@ -192,6 +192,23 @@ def _pairwise_sq_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pairwise_cost(xs: np.ndarray, ys: np.ndarray, cost_kind: str) -> np.ndarray:
+    """Cost matrix between the rows of xs and ys for one of ``COST_KINDS``."""
+    if cost_kind == "squared_euclidean":
+        return _pairwise_sq_euclidean(xs, ys)
+    if cost_kind == "euclidean":
+        return np.sqrt(_pairwise_sq_euclidean(xs, ys))
+    if cost_kind == "l1":
+        return np.abs(xs[:, None, :] - ys[None, :, :]).sum(axis=2)
+    # cosine_normalized
+    nx = np.linalg.norm(xs, axis=1)
+    ny = np.linalg.norm(ys, axis=1)
+    if np.any(nx == 0) or np.any(ny == 0):
+        raise ValueError("zero-norm vector; cosine_normalized is undefined")
+    sim = (xs / nx[:, None]) @ (ys / ny[:, None]).T
+    return np.clip(2.0 - 2.0 * sim, 0.0, 4.0)
+
+
 def build_grouped_cost(src: GroupedMeasure, dst: GroupedMeasure, cost_kind: str) -> GroupedCost:
     """Build the per-group cost matrices between two grouped measures.
 
@@ -215,22 +232,10 @@ def build_grouped_cost(src: GroupedMeasure, dst: GroupedMeasure, cost_kind: str)
         )
     mats = np.empty((src.n_groups, src.n_points, dst.n_points))
     for k in range(src.n_groups):
-        xs, ys = src.group(k), dst.group(k)
-        if cost_kind == "squared_euclidean":
-            mats[k] = _pairwise_sq_euclidean(xs, ys)
-        elif cost_kind == "euclidean":
-            mats[k] = np.sqrt(_pairwise_sq_euclidean(xs, ys))
-        elif cost_kind == "l1":
-            mats[k] = np.abs(xs[:, None, :] - ys[None, :, :]).sum(axis=2)
-        else:  # cosine_normalized
-            nx = np.linalg.norm(xs, axis=1)
-            ny = np.linalg.norm(ys, axis=1)
-            if np.any(nx == 0) or np.any(ny == 0):
-                raise ValueError(
-                    f"group {k} contains a zero-norm vector; cosine_normalized is undefined"
-                )
-            sim = (xs / nx[:, None]) @ (ys / ny[:, None]).T
-            mats[k] = np.clip(2.0 - 2.0 * sim, 0.0, 4.0)
+        try:
+            mats[k] = _pairwise_cost(src.group(k), dst.group(k), cost_kind)
+        except ValueError as exc:
+            raise ValueError(f"group {k}: {exc}") from None
     return GroupedCost(mats, cost_kind)
 
 

@@ -1,9 +1,11 @@
 """Entropic (Sinkhorn) and exact optimal-transport solvers.
 
 The entropic solver performs alternating row/column scalings of the Gibbs
-kernel K = exp(-C/eps), optionally in the log domain for small eps.  The
-exact solver delegates the transportation LP to HiGHS dual simplex, which
-returns a vertex-optimal basic solution together with the marginal duals.
+kernel K = exp(-C/eps), optionally in the log domain for small eps.  Every
+LP in the package, the transportation LP here and the epigraph LP in
+``minmax``, goes through ``solve_lp``: HiGHS dual simplex on sparse
+constraints built from ``marginal_constraints``, which returns a
+vertex-optimal basic solution together with the equality duals.
 """
 
 from __future__ import annotations
@@ -252,6 +254,49 @@ def _lse(M: np.ndarray, axis: int) -> np.ndarray:
     return mx + np.log(terms.sum(axis=axis))
 
 
+#: HiGHS's default feasibility tolerances (1e-7) are absolute, which lets
+#: the simplex stop at a worse vertex on small or widely ranged costs
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
+
+
+@dataclass(frozen=True)
+class LpResult:
+    x: np.ndarray
+    objective: float
+    iterations: int
+    eq_duals: np.ndarray
+
+
+def marginal_constraints(n: int, m: int) -> sparse.csr_matrix:
+    """Sparse (n + m) x nm rows giving the row sums, then the column sums,
+    of a row-major vec(P) for an n x m plan P."""
+    flat = np.arange(n * m)
+    indices = np.concatenate([flat, flat.reshape(n, m).T.ravel()])
+    indptr = np.concatenate([np.arange(n) * m, n * m + np.arange(m + 1) * n])
+    return sparse.csr_matrix((np.ones(2 * n * m), indices, indptr), shape=(n + m, n * m))
+
+
+def solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)) -> LpResult:
+    """Solve min c'x s.t. A_eq x = b_eq, A_ub x <= b_ub within ``bounds`` by
+    HiGHS dual simplex.
+
+    Returns a vertex optimizer, its objective, the simplex iteration count
+    and the duals of the equality rows.  Raises :class:`SolverFailure`
+    unless HiGHS reports an optimal solution.
+    """
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs-ds", options=_HIGHS_OPTIONS)
+    if res.status != 0:
+        raise SolverFailure(f"LP failed: {res.message}")
+    return LpResult(
+        x=res.x,
+        objective=float(res.fun),
+        iterations=int(res.nit),
+        eq_duals=np.asarray(res.eqlin.marginals),
+    )
+
+
 @dataclass(frozen=True)
 class EmdResult:
     plan: TransportPlan
@@ -264,7 +309,9 @@ def emd_exact_solve(a, b, C) -> EmdResult:
     """Exact (unregularized) OT over the transportation polytope.
 
     Returns a vertex-optimal plan minimizing <P, C>, its objective, and
-    the LP duals of the row/column marginal constraints.
+    the LP duals of the row/column marginal constraints.  The LP runs on
+    C / max|C|, so that the solver's absolute tolerances are relative to
+    the cost scale.
     """
     a, b = _check_marginals(a, b)
     if abs(a.sum() - b.sum()) > 1e-9:
@@ -276,21 +323,14 @@ def emd_exact_solve(a, b, C) -> EmdResult:
         raise ValueError("cost matrix must be finite")
 
     n, m = C.shape
-    row_marg = sparse.kron(sparse.eye(n, format="csr"), np.ones((1, m)), format="csr")
-    col_marg = sparse.kron(np.ones((1, n)), sparse.eye(m, format="csr"), format="csr")
-    A_eq = sparse.vstack([row_marg, col_marg], format="csr")
-    b_eq = np.concatenate([a, b])
-
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
-    if res.status != 0:
-        raise SolverFailure(f"transportation LP failed: {res.message}")
+    scale = float(np.abs(C).max(initial=0.0)) or 1.0
+    res = solve_lp((C / scale).ravel(), marginal_constraints(n, m), np.concatenate([a, b]))
     plan = TransportPlan.from_matrix(res.x.reshape(n, m), a, b)
-    duals = np.asarray(res.eqlin.marginals)
     return EmdResult(
         plan=plan,
-        objective=float(res.fun),
-        dual_row=duals[:n].copy(),
-        dual_col=duals[n:].copy(),
+        objective=scale * res.objective,
+        dual_row=scale * res.eq_duals[:n],
+        dual_col=scale * res.eq_duals[n:],
     )
 
 

@@ -52,9 +52,17 @@ def test_wasserstein_rejects_bad_order_and_kind():
 
 def test_frwd_identity_of_indiscernibles():
     rng = np.random.default_rng(3)
-    mu = build_grouped_measure(rng.normal(size=(5, 4)), [2, 2])
-    for p in (1.0, 2.0):
-        assert frwd_distance(mu, mu, p=p).value == 0.0
+    measures = [build_grouped_measure(rng.normal(size=(5, 4)), [2, 2])]
+    # shifted 25-point measures whose self-distance LPs once broke the
+    # epigraph solver with a singular basis
+    for seed in (15, 33, 37):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 0)))
+        shift = rng.standard_normal(6)
+        measures.append(build_grouped_measure(rng.standard_normal((25, 6)) + shift,
+                                              [2, 2, 2]))
+    for mu in measures:
+        for p in (1.0, 2.0):
+            assert frwd_distance(mu, mu, p=p, method="lp").value == 0.0
 
 
 def test_frwd_symmetry():

@@ -238,15 +238,6 @@ def test_fw_assignment_path_matches_lp_path(monkeypatch):
     np.testing.assert_allclose(fast.plan.matrix, slow.plan.matrix, atol=1e-12)
 
 
-def test_fw_uniform_init_requires_uniform_weights():
-    rng = np.random.default_rng(32)
-    src, dst = random_grouped_pair(rng, 4, 4, [2], uniform_weights=False)
-    costs = build_grouped_cost(src, dst, "squared_euclidean")
-    with pytest.raises(ValueError, match="uniform"):
-        frot_fw_solve(src, dst, costs,
-                      FrotConfig(eta=1.0, init_plan="uniform"))
-
-
 def test_frot_config_validation():
     with pytest.raises(ValueError, match="frot_lp_solve"):
         FrotConfig(eta=0.0)
@@ -300,15 +291,17 @@ def test_lp_two_by_two_analytic_optimum():
     # plans are [[s, .5-s], [.5-s, s]]; objectives (1-2s, 2s) balance at 1/4
     stack = np.array([[[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
     uniform = np.array([0.5, 0.5])
-    lp = frot_lp_solve(stack, uniform, uniform)
-    assert lp.objective == pytest.approx(0.5, abs=1e-12)
-    np.testing.assert_allclose(lp.plan.matrix, np.full((2, 2), 0.25), atol=1e-10)
+    # the optimum scales with the costs, however small or large they are
+    for scale in (1e-12, 1.0, 1e6):
+        lp = frot_lp_solve(scale * stack, uniform, uniform)
+        assert lp.objective == pytest.approx(0.5 * scale, rel=1e-12)
+        np.testing.assert_allclose(lp.plan.matrix, np.full((2, 2), 0.25), atol=1e-10)
 
 
 def test_lp_size_guard():
     with pytest.raises(ValueError, match="limited"):
-        frot_lp_solve(np.zeros((1, 101, 101)), np.full(101, 1 / 101),
-                      np.full(101, 1 / 101))
+        frot_lp_solve(np.zeros((1, 201, 201)), np.full(201, 1 / 201),
+                      np.full(201, 1 / 201))
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,7 @@ def _load_pair(args):
 
 def cmd_sinkhorn(args) -> int:
     src, dst, costs = _load_pair(args)
-    cfg = SinkhornConfig(epsilon=args.epsilon, t_max=args.iters,
-                         log_domain=args.log_domain)
+    cfg = SinkhornConfig(epsilon=args.epsilon, t_max=args.iters)
     result = sinkhorn_solve(src.weights, dst.weights, costs.total(), cfg)
     out = _out_dir(args)
     write_plan_csv(out / "plan.csv", result.plan.matrix)
@@ -215,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_inputs(p)
     _add_common(p)
     p.set_defaults(func=cmd_sinkhorn, iters=1000)
-    p.add_argument("--log-domain", action="store_true", default=None,
-                   dest="log_domain", help="force log-domain updates")
 
     p = sub.add_parser("emd", help="exact OT between two measures")
     _add_pair_inputs(p)

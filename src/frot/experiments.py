@@ -22,7 +22,7 @@ import scipy
 from . import __version__
 from .feature_selection import baseline_rank, frot_feature_importance, select_top_k
 from .measures import build_grouped_cost, load_measure_csv, save_measure_csv
-from .minmax import FrotConfig, _round_to_polytope, frot_fw_solve, frot_lp_solve
+from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
 from .solvers import SinkhornConfig, sinkhorn_solve
 from .synthetic import EFFECTIVE_COV, comparison_instance, labeled_synthetic, synth_generate
 
@@ -176,11 +176,11 @@ def run_noise_robustness(spec: ExperimentSpec) -> dict:
     # emitted plans are rounded onto the polytope so downstream consumers get
     # exact couplings; each solver's own residual is recorded in the summary
     write_plan_csv(out_dir / "ot_clean_plan.csv",
-                   _round_to_polytope(ot_clean.plan.matrix, src_clean.weights,
-                                      dst_clean.weights))
+                   round_to_polytope(ot_clean.plan.matrix, src_clean.weights,
+                                     dst_clean.weights))
     write_plan_csv(out_dir / "ot_noisy_plan.csv",
-                   _round_to_polytope(ot_noisy.plan.matrix, src.weights,
-                                      dst.weights))
+                   round_to_polytope(ot_noisy.plan.matrix, src.weights,
+                                     dst.weights))
     write_plan_csv(out_dir / "robust_plan.csv", robust.plan.matrix)
     summary = {
         "alpha": robust.alpha.tolist(),

@@ -255,9 +255,9 @@ class TransportPlan:
     def from_matrix(cls, matrix, a, b) -> "TransportPlan":
         """Validate a candidate plan against marginals ``a`` and ``b``.
 
-        Entries more negative than -1e-12 are rejected; tiny negative
-        round-off is clipped to zero.  Total mass must equal 1 within
-        1e-9.
+        Non-finite entries and entries more negative than -1e-12 are
+        rejected; tiny negative round-off is clipped to zero.  Total mass
+        must equal 1 within 1e-9.
         """
         mat = np.array(matrix, dtype=float)
         a = np.asarray(a, dtype=float)
@@ -265,6 +265,8 @@ class TransportPlan:
         if mat.shape != (a.shape[0], b.shape[0]):
             raise ValueError(f"plan shape {mat.shape} does not match weights "
                              f"({a.shape[0]}, {b.shape[0]})")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("plan has non-finite entries")
         if mat.min(initial=0.0) < -PLAN_CLIP_TOL:
             raise ValueError(f"plan has negative entries (min {mat.min()})")
         np.clip(mat, 0.0, None, out=mat)

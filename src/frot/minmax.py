@@ -99,7 +99,7 @@ class FrotConfig:
     epsilon-entropy and solves the regularized problem (inexact; the
     inexactness is surfaced in the solution metadata).  On 50x50 uniform
     pairs with 10 groups and 10 iterations, one exact solve takes about
-    6 ms and one entropic solve at epsilon = 0.02 about 350 ms.  The
+    6 ms and one entropic solve at epsilon = 0.02 about 90 ms.  The
     iteration starts from the product coupling a b'.
     """
 
@@ -116,6 +116,10 @@ class FrotConfig:
     record_plans: bool = False
 
     def __post_init__(self):
+        if not (np.isfinite(self.eta) and np.isfinite(self.epsilon)):
+            raise ValueError(
+                f"eta and epsilon must be finite (got {self.eta}, {self.epsilon})"
+            )
         if self.eta == 0:
             raise ValueError(
                 "eta = 0 removes the smoothing; solve the epigraph LP "
@@ -157,7 +161,7 @@ class FrotSolution:
         return self.metadata["max_group_cost"]
 
 
-def _round_to_polytope(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def round_to_polytope(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Project a near-feasible nonnegative plan onto exact marginals.
 
     Rows and columns overshooting their targets are scaled down, then the
@@ -265,7 +269,7 @@ def frot_fw_solve(
             )
             # keep every iterate exactly marginal-feasible; the entropic
             # solver's own violation is recorded below
-            P_hat = _round_to_polytope(result.plan.matrix, a, b)
+            P_hat = round_to_polytope(result.plan.matrix, a, b)
             if cfg.warm_start:
                 potentials = result.potentials
             sub_converged.append(result.converged)

@@ -174,6 +174,15 @@ def test_transport_plan_validation():
     assert residual.marginal_residual == pytest.approx(0.5)
 
 
+def test_transport_plan_rejects_non_finite_entries():
+    a = b = np.array([0.5, 0.5])
+    # NaN slips past the mass check: abs(nan - 1) > 1e-9 is False
+    with pytest.raises(ValueError, match="non-finite"):
+        TransportPlan.from_matrix(np.full((2, 2), np.nan), a, b)
+    with pytest.raises(ValueError, match="non-finite"):
+        TransportPlan.from_matrix([[0.5, np.inf], [0.0, 0.5]], a, b)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     mu = build_grouped_measure(rng.normal(size=(4, 5)), [2, 3],

@@ -18,7 +18,7 @@ from frot import (
     sorted_wasserstein_1d,
     synth_generate,
 )
-from frot.minmax import _round_to_polytope
+from frot.minmax import round_to_polytope
 from frot.solvers import SinkhornConfig
 
 from helpers import random_birkhoff_plan, random_grouped_pair
@@ -156,7 +156,7 @@ def test_fw_single_group_degenerates_to_subsolver():
     sink = sinkhorn_solve(src.weights, dst.weights, costs.matrices[0],
                           SinkhornConfig(epsilon=0.5, t_max=3000))
     assert sink.converged
-    rounded = _round_to_polytope(sink.plan.matrix, src.weights, dst.weights)
+    rounded = round_to_polytope(sink.plan.matrix, src.weights, dst.weights)
     assert sol_sink.objective_trace[-1] == pytest.approx(
         float(np.sum(rounded * costs.matrices[0])), abs=1e-8)
 
@@ -249,6 +249,13 @@ def test_frot_config_validation():
         FrotConfig(eta=1.0, fw_iters=0)
 
 
+@pytest.mark.parametrize("eta, epsilon", [(np.nan, 0.02), (np.inf, 0.02),
+                                          (1.0, np.nan), (1.0, -np.inf)])
+def test_frot_config_rejects_non_finite_eta_and_epsilon(eta, epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        FrotConfig(eta=eta, epsilon=epsilon)
+
+
 def test_round_to_polytope_restores_marginals():
     rng = np.random.default_rng(14)
     a = rng.uniform(0.5, 1.5, 6)
@@ -257,7 +264,7 @@ def test_round_to_polytope_restores_marginals():
     b /= b.sum()
     P = np.outer(a, b) + rng.uniform(-0.01, 0.01, size=(6, 5))
     P = np.clip(P, 0.0, None)
-    rounded = _round_to_polytope(P, a, b)
+    rounded = round_to_polytope(P, a, b)
     assert np.abs(rounded.sum(axis=1) - a).sum() <= 1e-12
     assert np.abs(rounded.sum(axis=0) - b).sum() <= 1e-12
     assert rounded.min() >= 0.0

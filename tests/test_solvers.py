@@ -10,6 +10,7 @@ from frot import (
     sinkhorn_solve,
     sorted_wasserstein_1d,
 )
+from frot import solvers
 from frot.solvers import SolverFailure, _lse, assignment_plan, entropy, solve_lp
 
 from helpers import (
@@ -50,30 +51,49 @@ def test_objective_matches_projected_gradient_oracle():
     assert result.objective == pytest.approx(oracle, abs=1e-6)
 
 
-def test_plan_has_gibbs_rank_structure():
+def _count_absorptions(monkeypatch):
+    """Patch ``_lse`` to count absorption sweeps, which call it twice each;
+    returns a function giving the count so far."""
+    calls = []
+    real = solvers._lse
+    monkeypatch.setattr(solvers, "_lse", lambda M, axis: calls.append(axis) or real(M, axis))
+    return lambda: len(calls) // 2
+
+
+def test_plan_has_gibbs_rank_structure(monkeypatch):
+    # at eps = 0.01 the scalings leave their bounds after the first sweep,
+    # so the returned (f, g) carry folded-in scalings
+    absorptions = _count_absorptions(monkeypatch)
     rng = np.random.default_rng(1)
-    C = rng.uniform(0.0, 1.0, size=(5, 4))
+    C0 = rng.uniform(0.0, 1.0, size=(5, 4))
     a = np.full(5, 0.2)
     b = np.full(4, 0.25)
-    eps = 0.3
-    result = sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=eps))
-    f, g = result.potentials
-    log_plan = np.log(result.plan.matrix)
-    np.testing.assert_allclose(
-        log_plan - f[:, None] / eps - g[None, :] / eps, -C / eps, atol=1e-8
-    )
-
-
-def test_residuals_monotone_non_increasing():
-    rng = np.random.default_rng(9)
-    C = rng.uniform(0.0, 1.0, size=(6, 6))
-    a = b = np.full(6, 1.0 / 6.0)
-    for log_domain in (False, True):
-        result = sinkhorn_solve(
-            a, b, C, SinkhornConfig(epsilon=0.2, tol=1e-12, log_domain=log_domain)
+    for eps, scale, min_absorptions in ((0.3, 1.0, 1), (0.01, 20.0, 2)):
+        C = scale * C0
+        before = absorptions()
+        result = sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=eps, t_max=5000))
+        assert result.converged
+        assert absorptions() - before >= min_absorptions
+        f, g = result.potentials
+        support = result.plan.matrix > 0.0
+        np.testing.assert_allclose(
+            np.log(result.plan.matrix[support]),
+            ((f[:, None] + g[None, :] - C) / eps)[support], atol=1e-8
         )
-        res = result.residuals
-        assert np.all(np.diff(res) <= 1e-14)
+
+
+def test_residuals_monotone_non_increasing(monkeypatch):
+    # the 6 x 5 case at scale 100 (C / eps up to 500) absorbs again after
+    # the first sweep
+    absorptions = _count_absorptions(monkeypatch)
+    for m, scale, min_absorptions in ((6, 1.0, 1), (5, 100.0, 2)):
+        C = scale * np.random.default_rng(9).uniform(0.0, 1.0, size=(6, m))
+        a = np.full(6, 1.0 / 6.0)
+        b = np.full(m, 1.0 / m)
+        before = absorptions()
+        result = sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=0.2, tol=1e-12, t_max=5000))
+        assert absorptions() - before >= min_absorptions
+        assert np.all(np.diff(result.residuals) <= 1e-14)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -101,13 +121,20 @@ def test_epsilon_zero_points_to_exact_solver():
         SinkhornConfig(epsilon=0.1, tol=0.0)
 
 
-def test_underflow_directs_to_log_domain():
+@pytest.mark.parametrize("eps", [np.nan, np.inf])
+def test_sinkhorn_config_rejects_non_finite_epsilon(eps):
+    with pytest.raises(ValueError, match="finite"):
+        SinkhornConfig(epsilon=eps)
+
+
+def test_underflowing_gibbs_kernel_converges():
+    # exp(-C / eps) underflows to 0 off the diagonal; the absorbed kernel
+    # does not need it
     C = np.array([[0.0, 900.0], [900.0, 0.0]])
     a = b = np.array([0.5, 0.5])
-    with pytest.raises(ValueError, match="log_domain"):
-        sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=0.1, log_domain=False))
-    result = sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=0.1, log_domain=True))
+    result = sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=0.1))
     assert result.converged
+    np.testing.assert_allclose(result.plan.matrix, 0.5 * np.eye(2), atol=1e-15)
 
 
 def test_lse_matches_plain_formula_bitwise():
@@ -123,12 +150,6 @@ def test_lse_matches_plain_formula_bitwise():
             mx = M.max(axis=axis)
             plain = mx + np.log(np.exp(M - np.expand_dims(mx, axis)).sum(axis=axis))
             np.testing.assert_array_equal(_lse(M, axis), plain)
-
-
-def test_log_domain_auto_threshold():
-    assert SinkhornConfig(epsilon=0.01).resolved_log_domain()
-    assert not SinkhornConfig(epsilon=0.1).resolved_log_domain()
-    assert SinkhornConfig(epsilon=0.1, log_domain=True).resolved_log_domain()
 
 
 def test_non_convergence_is_flagged_not_fatal():

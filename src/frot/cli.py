@@ -158,10 +158,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-_SPEC_FLAGS = ("seed", "out", "eta", "epsilon", "iters", "n", "m", "trials",
-               "top_k", "data", "label_col")
-
-
 def _spec_from_args(args, scenario: str) -> ExperimentSpec:
     doc = {
         "scenario": scenario,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GroupedMeasure, TransportPlan, _pairwise_cost, _pairwise_sq_euclidean
+from .measures import GroupedMeasure, TransportPlan, _pairwise_cost
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, group_costs
 from .solvers import emd_exact_solve
 
@@ -74,8 +74,6 @@ def frwd_distance(
     method: str = "lp",
     eta_schedule=(1.0, 0.1, 0.01),
     fw_iters: int = 50,
-    fw_subsolver: str = "exact_emd",
-    fw_epsilon: float = 0.02,
 ) -> FrwdResult:
     """Feature-robust p-Wasserstein distance between grouped measures.
 
@@ -83,8 +81,9 @@ def frwd_distance(
     solves the min-max transport problem, and returns the p-th root of the
     optimum.  ``method="lp"`` uses the exact epigraph LP (the path used by
     the metric-axiom tests); ``method="fw"`` runs Frank-Wolfe over the
-    decreasing ``eta_schedule``, warm-starting each stage from the last
-    plan, and evaluates the unsmoothed max at the final plan.
+    decreasing ``eta_schedule`` with exact subproblems, warm-starting each
+    stage from the last plan, and evaluates the unsmoothed max at the final
+    plan.
     """
     if p < 1:
         raise ValueError("order p must be at least 1")
@@ -101,8 +100,7 @@ def frwd_distance(
             raise ValueError("eta_schedule must be non-empty")
         plan_matrix = None
         for eta in schedule:
-            cfg = FrotConfig(eta=eta, fw_iters=fw_iters, subsolver=fw_subsolver,
-                             epsilon=fw_epsilon)
+            cfg = FrotConfig(eta=eta, fw_iters=fw_iters)
             sol = frot_fw_solve(src, dst, stack, cfg, init_matrix=plan_matrix)
             plan_matrix = sol.plan.matrix
         plan = sol.plan
@@ -146,7 +144,7 @@ def srw_equivalence_check(src: GroupedMeasure, dst: GroupedMeasure, plan, alpha)
     U = np.diag(np.sqrt(alpha))
     px = src.points @ U
     py = dst.points @ U
-    lhs = float(np.sum(P * _pairwise_sq_euclidean(px, py)))
+    lhs = float(np.sum(P * _pairwise_cost(px, py, "squared_euclidean")))
 
     # right side: weighted per-coordinate squared-difference costs
     rhs = 0.0

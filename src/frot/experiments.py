@@ -20,7 +20,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .feature_selection import baseline_rank, frot_feature_importance, select_top_k
+from .feature_selection import (RANK_METHODS, baseline_rank, frot_feature_importance,
+                                select_top_k)
 from .measures import build_grouped_cost, load_measure_csv, save_measure_csv
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
 from .solvers import SinkhornConfig, sinkhorn_solve
@@ -349,8 +350,7 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
         classes = np.array([0.0, 1.0])
 
     d = X_all.shape[1]
-    methods = ("frot", "wasserstein_sort", "linear_correlation")
-    top_counts = {method: np.zeros(d, dtype=int) for method in methods}
+    top_counts = {method: np.zeros(d, dtype=int) for method in RANK_METHODS}
     trials_out = []
     first_artifacts = {}
 
@@ -414,7 +414,7 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
     summary = {
         "top_k": spec.top_k,
         "trials": trials_out,
-        "top_k_counts": {m: top_counts[m].tolist() for m in methods},
+        "top_k_counts": {m: top_counts[m].tolist() for m in RANK_METHODS},
         "feature_names": names,
     }
     write_json(out_dir / "rankings.json", summary)

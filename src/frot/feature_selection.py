@@ -3,7 +3,7 @@
 Treating every feature as its own singleton group, the min-max transport
 solver produces simplex weights that concentrate on the features with the
 largest between-class transport cost; those weights rank the features.
-Two per-dimension baselines are included: the sort-based 1-D Wasserstein
+Two per-dimension baselines are included: the exact 1-D Wasserstein
 distance and absolute linear correlation with the class label.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 
 from .measures import build_grouped_cost, build_grouped_measure
 from .minmax import FrotConfig, frot_fw_solve
-from .solvers import sorted_wasserstein_1d
 from .solvers import emd_exact_solve  # noqa: F401 -- bench/tracing.py hooks this name
 
 RANK_METHODS = ("frot", "wasserstein_sort", "linear_correlation")
@@ -105,10 +104,10 @@ def _wasserstein1_cdf(xs: np.ndarray, ys: np.ndarray) -> float:
 def baseline_rank(class1, class2, method: str) -> FeatureRanking:
     """Per-dimension baseline rankings.
 
-    ``wasserstein_sort`` scores each dimension by the 1-D Wasserstein
-    distance W1: the sorted coupling for equal sample counts, and the
-    integral of the CDF difference between the sorted samples otherwise;
-    both are exact.  ``linear_correlation`` scores by
+    ``wasserstein_sort`` scores each dimension by the exact 1-D Wasserstein
+    distance W1, the integral of the difference between the empirical CDFs
+    of the sorted samples, for any two sample counts.
+    ``linear_correlation`` scores by
     the absolute correlation of the feature with the binary class label;
     constant features score 0 by convention.
     """
@@ -119,10 +118,7 @@ def baseline_rank(class1, class2, method: str) -> FeatureRanking:
 
     if method == "wasserstein_sort":
         for k in range(d):
-            if n == m:
-                scores[k] = sorted_wasserstein_1d(x[:, k], y[:, k], p=1)
-            else:
-                scores[k] = _wasserstein1_cdf(x[:, k], y[:, k])
+            scores[k] = _wasserstein1_cdf(x[:, k], y[:, k])
     elif method == "linear_correlation":
         labels = np.concatenate([np.zeros(n), np.ones(m)])
         labels_c = labels - labels.mean()

@@ -13,8 +13,12 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 COST_KINDS = ("squared_euclidean", "euclidean", "l1", "cosine_normalized")
+
+_CDIST_METRICS = {"squared_euclidean": "sqeuclidean", "euclidean": "euclidean",
+                  "l1": "cityblock"}
 
 #: construction-time tolerance for clipping tiny negative plan entries
 PLAN_CLIP_TOL = 1e-12
@@ -177,29 +181,12 @@ class GroupedCost:
         return self.matrices.sum(axis=0)
 
 
-def _pairwise_sq_euclidean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # explicit differences: the Gram expansion x.x + y.y - 2 x.y cancels
-    # catastrophically for near-coincident points, and the sqrt taken for
-    # plain Euclidean costs would amplify that crud to ~1e-8 self-distances
-    n, m = x.shape[0], y.shape[0]
-    d = x.shape[1]
-    out = np.empty((n, m))
-    chunk = max(1, int(2**22 / max(m * d, 1)))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        diff = x[lo:hi, None, :] - y[None, :, :]
-        out[lo:hi] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
-
-
 def _pairwise_cost(xs: np.ndarray, ys: np.ndarray, cost_kind: str) -> np.ndarray:
     """Cost matrix between the rows of xs and ys for one of ``COST_KINDS``."""
-    if cost_kind == "squared_euclidean":
-        return _pairwise_sq_euclidean(xs, ys)
-    if cost_kind == "euclidean":
-        return np.sqrt(_pairwise_sq_euclidean(xs, ys))
-    if cost_kind == "l1":
-        return np.abs(xs[:, None, :] - ys[None, :, :]).sum(axis=2)
+    # cdist sums explicit coordinate differences, so coincident points cost
+    # exactly 0; the Gram expansion x.x + y.y - 2 x.y would cancel there
+    if cost_kind in _CDIST_METRICS:
+        return cdist(xs, ys, _CDIST_METRICS[cost_kind])
     # cosine_normalized
     nx = np.linalg.norm(xs, axis=1)
     ny = np.linalg.norm(ys, axis=1)

@@ -20,6 +20,7 @@ from .measures import GroupedCost, GroupedMeasure, TransportPlan
 from .solvers import (
     SinkhornConfig,
     SolverFailure,
+    _check_marginals,
     assignment_plan,
     emd_exact_solve,
     marginal_constraints,
@@ -100,7 +101,8 @@ class FrotConfig:
     inexactness is surfaced in the solution metadata).  On 50x50 uniform
     pairs with 10 groups and 10 iterations, one exact solve takes about
     6 ms and one entropic solve at epsilon = 0.02 about 90 ms.  The
-    iteration starts from the product coupling a b'.
+    iteration starts from the product coupling a b', and each entropic
+    subproblem is warm-started from the previous one's column potential.
     """
 
     eta: float
@@ -112,7 +114,6 @@ class FrotConfig:
     # warm-started subproblems refine across iterations, so each one gets a
     # modest sweep budget by default; raise it when plan accuracy matters
     sinkhorn_t_max: int = 300
-    warm_start: bool = True
     record_plans: bool = False
 
     def __post_init__(self):
@@ -235,7 +236,7 @@ def frot_fw_solve(
     plan_trace = []
     sub_converged = []
     sub_residuals = []
-    potentials = None
+    init_g = None
     early_stopped = False
 
     iterations = 0
@@ -263,15 +264,11 @@ def frot_fw_solve(
             sub_cfg = SinkhornConfig(
                 epsilon=cfg.epsilon, t_max=cfg.sinkhorn_t_max, tol=cfg.sinkhorn_tol
             )
-            result = sinkhorn_solve(
-                a, b, M, sub_cfg,
-                init_potentials=potentials if cfg.warm_start else None,
-            )
+            result = sinkhorn_solve(a, b, M, sub_cfg, init_g=init_g)
             # keep every iterate exactly marginal-feasible; the entropic
             # solver's own violation is recorded below
             P_hat = round_to_polytope(result.plan.matrix, a, b)
-            if cfg.warm_start:
-                potentials = result.potentials
+            init_g = result.potentials[1]
             sub_converged.append(result.converged)
             sub_residuals.append(float(result.plan.marginal_residual))
 
@@ -328,15 +325,10 @@ def frot_lp_solve(costs, a, b) -> FrotLpResult:
     min_P max_k <P, C_k>; ``iterations`` is its iteration count.
     """
     stack = _cost_stack(costs)
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
+    a, b = _check_marginals(a, b)
     L, n, m = stack.shape
     if (n, m) != (a.size, b.size):
         raise ValueError(f"cost stack shape {stack.shape} does not match weights")
-    if abs(a.sum() - 1.0) > 1e-9 or abs(b.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must each sum to 1")
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValueError("weights must be nonnegative")
     nm = n * m
     if nm > LP_MAX_VARIABLES:
         raise ValueError(
@@ -375,7 +367,6 @@ def maxmin_frot(
     dst: GroupedMeasure,
     costs,
     per_group_solver="exact_emd",
-    epsilon: float = 0.02,
 ) -> MaxminResult:
     """Max-min variant: pick the single group with the largest OT cost.
 
@@ -383,8 +374,9 @@ def maxmin_frot(
     group, the corresponding one-hot weight vector, and all per-group
     distances.  Ties go to the lowest group index and are flagged.
 
-    ``per_group_solver`` is ``"exact_emd"``, ``"sinkhorn"`` (with
-    ``epsilon``), or a callable ``(a, b, C) -> float``.
+    ``per_group_solver`` is ``"exact_emd"`` or a callable
+    ``(a, b, C) -> float``, for example an entropic cost from
+    ``sinkhorn_solve``.
     """
     stack = _cost_stack(costs)
     a, b = src.weights, dst.weights
@@ -394,10 +386,6 @@ def maxmin_frot(
             distances[k] = float(per_group_solver(a, b, stack[k]))
         elif per_group_solver == "exact_emd":
             distances[k] = emd_exact_solve(a, b, stack[k]).objective
-        elif per_group_solver == "sinkhorn":
-            distances[k] = sinkhorn_solve(
-                a, b, stack[k], SinkhornConfig(epsilon=epsilon)
-            ).transport_cost
         else:
             raise ValueError(f"unknown per_group_solver {per_group_solver!r}")
     best = int(np.argmax(distances))
@@ -408,35 +396,19 @@ def maxmin_frot(
     return MaxminResult(group_index=best, alpha=alpha, distances=distances, tie=tie)
 
 
-def fw_convergence_bound(costs, eta: float, t: int, rel_tol: float = 1e-8) -> float:
+def fw_convergence_bound(costs, eta: float, t: int) -> float:
     """Optimality-gap bound for the Frank-Wolfe iterate at step t.
 
     Returns 4 sigma_max / (eta (t + 2)) where sigma_max is the largest
-    eigenvalue of the Gram matrix of the vectorized cost matrices,
-    computed by power iteration to relative tolerance ``rel_tol``.  Exact
-    subproblem solutions are assumed (inexactness would scale the bound).
+    eigenvalue of the Gram matrix of the vectorized cost matrices, from a
+    dense symmetric eigensolver on the L x L Gram.  Exact subproblem
+    solutions are assumed (inexactness would scale the bound).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     if t < 1:
         raise ValueError("t must be at least 1")
     stack = _cost_stack(costs)
-    L = stack.shape[0]
-    flat = stack.reshape(L, -1)
-    gram = flat @ flat.T
-    if not np.any(gram):
-        return 0.0
-
-    # Gram of nonnegative matrices is PSD with nonnegative entries, so the
-    # all-ones start vector cannot be orthogonal to the dominant eigenspace
-    v = np.full(L, 1.0 / np.sqrt(L))
-    lam_prev = 0.0
-    for _ in range(100_000):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        v = w / norm
-        lam = float(v @ (gram @ v))
-        if abs(lam - lam_prev) <= rel_tol * max(abs(lam), 1e-300):
-            return 4.0 * lam / (eta * (t + 2))
-        lam_prev = lam
-    raise SolverFailure("power iteration for the Gram spectral norm did not converge")
+    flat = stack.reshape(stack.shape[0], -1)
+    sigma_max = float(np.linalg.eigvalsh(flat @ flat.T)[-1])
+    return 4.0 * sigma_max / (eta * (t + 2))

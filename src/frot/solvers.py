@@ -83,10 +83,12 @@ def _check_marginals(a, b):
         raise ValueError(
             f"weights must each sum to 1 (got {a.sum()} and {b.sum()})"
         )
+    if np.any(a < 0) or np.any(b < 0):
+        raise ValueError("weights must be nonnegative")
     return a, b
 
 
-def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_potentials=None) -> SinkhornResult:
+def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_g=None) -> SinkhornResult:
     """Entropic OT by Sinkhorn iteration.
 
     Solves min <P, C> + eps * H(P) over couplings of (a, b), returning the
@@ -105,8 +107,9 @@ def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_potentials=None) -> Sinkho
     C : array-like, shape (n, m)
         Finite nonnegative cost matrix.
     cfg : SinkhornConfig
-    init_potentials : (f, g) pair, optional
-        Warm-start dual potentials from a previous solve on a nearby cost.
+    init_g : array-like of shape (m,), optional
+        Warm-start column potential ``g`` from a previous solve on a nearby
+        cost; the first sweep computes the row potential from it.
 
     Returns
     -------
@@ -126,7 +129,7 @@ def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_potentials=None) -> Sinkho
         raise ValueError("cost matrix must be nonnegative")
 
     eps = cfg.epsilon
-    plan, f, g, residuals, converged = _sinkhorn(a, b, C, cfg, init_potentials)
+    plan, f, g, residuals, converged = _sinkhorn(a, b, C, cfg, init_g)
 
     if not converged:
         # message kept static so the warnings machinery dedupes repeats;
@@ -149,7 +152,7 @@ def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_potentials=None) -> Sinkho
     )
 
 
-def _sinkhorn(a, b, C, cfg, init_potentials):
+def _sinkhorn(a, b, C, cfg, init_g):
     # Scaled potentials (phi, psi) = (f, g) / eps are kept in two parts: the
     # absorbed (phi0, psi0), from which the kernel K = exp(phi0 + psi0 - C/eps)
     # is built, and the scalings (u, v), so that phi = phi0 + log u and
@@ -160,10 +163,10 @@ def _sinkhorn(a, b, C, cfg, init_potentials):
     log_a = np.log(a)
     log_b = np.log(b)
     neg_c = -C / eps
-    if init_potentials is None:
+    if init_g is None:
         psi0 = np.zeros_like(b)
     else:
-        psi0 = np.asarray(init_potentials[1], dtype=float) / eps
+        psi0 = np.asarray(init_g, dtype=float) / eps
     u = np.ones_like(a)
     v = np.ones_like(b)
     K = None

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,18 @@ from frot.solvers import SolverFailure
 pytestmark = pytest.mark.filterwarnings(
     "ignore:Sinkhorn stopped at t_max:RuntimeWarning"
 )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # nothing in frot needs scipy.stats, and importing it would add about
+    # half a second and 20 MB to every CLI start (2-vCPU machine)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, frot; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture()

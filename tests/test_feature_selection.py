@@ -9,6 +9,7 @@ from frot import (
     frot_feature_importance,
     labeled_synthetic,
     select_top_k,
+    sorted_wasserstein_1d,
 )
 
 
@@ -136,7 +137,7 @@ def test_baselines_rank_informative_first():
         assert ranking.method == method
 
 
-def test_wasserstein_sort_falls_back_for_unequal_counts():
+def test_wasserstein_sort_ranks_informative_first_for_unequal_counts():
     class1, class2 = _informative_instance(seed=10)
     ranking = baseline_rank(class1[:17], class2, "wasserstein_sort")
     assert ranking.order[0] == 0
@@ -144,10 +145,11 @@ def test_wasserstein_sort_falls_back_for_unequal_counts():
 
 def test_wasserstein_sort_unequal_counts_matches_exact_solver():
     # continuous samples, and small integers that put ties inside and
-    # across the two classes
-    for seed in range(6):
+    # across the two classes; seeds 6 and 7 have equal counts, which take
+    # the same CDF integral and must agree with the sorted coupling
+    for seed in range(8):
         rng = np.random.default_rng(seed)
-        n, m = 7 + seed, 12 - seed // 2
+        n, m = (7 + seed, 12 - seed // 2) if seed < 6 else (9, 9)
         if seed % 2:
             class1 = rng.integers(0, 4, size=(n, 3)).astype(float)
             class2 = rng.integers(0, 4, size=(m, 3)).astype(float)
@@ -159,6 +161,9 @@ def test_wasserstein_sort_unequal_counts_matches_exact_solver():
             C = np.abs(class1[:, k][:, None] - class2[:, k][None, :])
             exact = emd_exact_solve(np.full(n, 1.0 / n), np.full(m, 1.0 / m), C)
             assert scores[k] == pytest.approx(exact.objective, rel=1e-12, abs=1e-15)
+            if n == m:
+                sorted_w1 = sorted_wasserstein_1d(class1[:, k], class2[:, k], p=1)
+                assert scores[k] == pytest.approx(sorted_w1, abs=1e-12)
 
 
 def test_constant_feature_correlation_zero_by_convention():

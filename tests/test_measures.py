@@ -80,6 +80,34 @@ def test_hand_computed_squared_euclidean():
     assert build_grouped_cost(src, dst, "l1").matrices[0, 0, 0] == pytest.approx(7.0)
 
 
+_PAIR_COSTS = {
+    "squared_euclidean": lambda x, y: np.sum((x - y) ** 2),
+    "euclidean": lambda x, y: np.sqrt(np.sum((x - y) ** 2)),
+    "l1": lambda x, y: np.sum(np.abs(x - y)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_COSTS))
+def test_metric_costs_match_per_pair_loops(kind):
+    rng = np.random.default_rng(12)
+    widths = [3, 1, 2]
+    # far from the origin, where a Gram-expansion kernel leaves nonzero
+    # self-distances
+    mu = build_grouped_measure(1e8 + rng.normal(size=(7, 6)), widths)
+    self_cost = build_grouped_cost(mu, mu, kind)
+    for k in range(len(widths)):
+        np.testing.assert_array_equal(np.diag(self_cost.matrices[k]), 0.0)
+
+    src = build_grouped_measure(rng.normal(size=(5, 6)), widths)
+    dst = build_grouped_measure(rng.normal(loc=0.5, size=(4, 6)), widths)
+    cost = build_grouped_cost(src, dst, kind)
+    pair_cost = _PAIR_COSTS[kind]
+    for k in range(len(widths)):
+        x, y = src.group(k), dst.group(k)
+        loops = [[pair_cost(x[i], y[j]) for j in range(4)] for i in range(5)]
+        np.testing.assert_allclose(cost.matrices[k], loops, rtol=1e-13, atol=0)
+
+
 def test_cosine_identical_unit_vectors():
     src = build_grouped_measure([[1.0, 0.0]], [2])
     cost = build_grouped_cost(src, src, "cosine_normalized")

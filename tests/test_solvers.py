@@ -152,6 +152,24 @@ def test_lse_matches_plain_formula_bitwise():
             np.testing.assert_array_equal(_lse(M, axis), plain)
 
 
+def test_warm_start_from_converged_column_potential():
+    # g alone determines the first sweep's row potential, so a converged g
+    # on the same cost reproduces the plan in one sweep
+    rng = np.random.default_rng(6)
+    C = rng.uniform(0.0, 1.0, size=(6, 5))
+    a = rng.uniform(0.5, 1.5, 6)
+    a /= a.sum()
+    b = rng.uniform(0.5, 1.5, 5)
+    b /= b.sum()
+    for eps in (0.3, 0.05):
+        cfg = SinkhornConfig(epsilon=eps)
+        cold = sinkhorn_solve(a, b, C, cfg)
+        warm = sinkhorn_solve(a, b, C, cfg, init_g=cold.potentials[1])
+        assert cold.converged and cold.iterations > 1
+        assert warm.converged and warm.iterations == 1
+        assert np.abs(warm.plan.matrix - cold.plan.matrix).sum() <= 1e-8
+
+
 def test_non_convergence_is_flagged_not_fatal():
     rng = np.random.default_rng(2)
     C = rng.uniform(0.0, 1.0, size=(8, 8))
@@ -238,6 +256,9 @@ def test_solve_lp_infeasible_detected():
 def test_emd_infeasible_weights_rejected():
     with pytest.raises(ValueError, match="sum to 1"):
         emd_exact_solve([0.6, 0.6], [0.5, 0.5], np.zeros((2, 2)))
+    # sums to 1, so only the sign check catches it before the LP
+    with pytest.raises(ValueError, match="nonnegative"):
+        emd_exact_solve([1.5, -0.5], [0.5, 0.5], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         emd_exact_solve([0.5, 0.5], [0.5, 0.5], np.array([[np.nan, 0], [0, 0]]))
 

@@ -65,6 +65,19 @@ def test_frwd_identity_of_indiscernibles():
             assert frwd_distance(mu, mu, p=p, method="lp").value == 0.0
 
 
+@pytest.mark.parametrize("n", [25, 40])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_self_distances_are_exactly_zero(n, p):
+    # uniform measures shaped like the robust-distance benchmark's: shifted
+    # Gaussian points, 3 groups of 2 coordinates
+    for seed in range(4):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+        points = rng.standard_normal((n, 6)) + rng.standard_normal(6)
+        mu = build_grouped_measure(points, [2, 2, 2])
+        assert frwd_distance(mu, mu, p=p, method="lp").value == 0.0
+        assert wasserstein_p(mu, mu, p=p) == 0.0
+
+
 def test_frwd_symmetry():
     rng = np.random.default_rng(4)
     src, dst = random_grouped_pair(rng, 5, 5, [2, 1], uniform_weights=False)

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from frot import (
     SinkhornConfig,
     emd_exact_solve,
+    frot_lp_solve,
     sinkhorn_solve,
     sorted_wasserstein_1d,
 )
@@ -251,6 +252,94 @@ def test_solve_lp_infeasible_detected():
     b = np.array([1.0, 2.0])
     with pytest.raises(SolverFailure, match="infeasible"):
         solve_lp(np.ones(2), A, b)
+
+
+def test_solve_lp_failure_names_status_and_iterations():
+    A = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SolverFailure, match=r"status infeasible after \d+ simplex iterations"):
+        solve_lp(np.ones(2), A, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weights_rejected_by_every_solver(bad):
+    w = [bad, 0.5]
+    ok = [0.5, 0.5]
+    C = np.ones((2, 2))
+    for a, b in ((w, ok), (ok, w)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=0.1))
+        with pytest.raises(ValueError, match="weights must be finite"):
+            emd_exact_solve(a, b, C)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            frot_lp_solve(np.stack([C, C]), a, b)
+
+
+# ---------------------------------------------------------------------------
+# binding drift: solve_lp calls scipy's private HiGHS bindings directly, so
+# it is checked against the public linprog on the same LPs
+# ---------------------------------------------------------------------------
+
+
+def test_highs_bindings_importable():
+    try:
+        from scipy.optimize._highspy._core import _Highs  # noqa: F401
+    except ImportError as exc:
+        pytest.fail(f"scipy's HiGHS bindings, which solve_lp uses, are gone: {exc}")
+
+
+def _random_weights(rng, n):
+    w = rng.uniform(0.2, 1.0, n)
+    return w / w.sum()
+
+
+def _transport_lp(rng, n, m):
+    a, b = _random_weights(rng, n), _random_weights(rng, m)
+    c = rng.uniform(0.0, 1.0, n * m)
+    return dict(c=c, A_eq=solvers.marginal_constraints(n, m), b_eq=np.concatenate([a, b]))
+
+
+def _epigraph_lp(rng, n, m, L):
+    lp = _transport_lp(rng, n, m)
+    nm = n * m
+    c = np.zeros(nm + 1)
+    c[nm] = 1.0
+    bounds = np.tile([0.0, np.inf], (nm + 1, 1))
+    bounds[nm, 0] = -np.inf
+    return dict(
+        c=c,
+        A_eq=np.hstack([lp["A_eq"].toarray(), np.zeros((n + m, 1))]),
+        b_eq=lp["b_eq"],
+        A_ub=np.hstack([rng.uniform(0.0, 1.0, (L, nm)), -np.ones((L, 1))]),
+        b_ub=np.zeros(L),
+        bounds=bounds,
+    )
+
+
+def _assert_feasible(x, lp, tol=1e-9):
+    lower, upper = np.asarray(lp.get("bounds", (0.0, np.inf)), dtype=float).T
+    assert np.all(x >= lower - tol) and np.all(x <= upper + tol)
+    np.testing.assert_allclose(lp["A_eq"] @ x, lp["b_eq"], rtol=0, atol=tol)
+    if "A_ub" in lp:
+        assert np.all(lp["A_ub"] @ x <= lp["b_ub"] + tol)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["transport", "epigraph"])
+def test_solve_lp_matches_linprog_oracle(seed, kind):
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(2, 30, size=2)
+    lp = _transport_lp(rng, n, m) if kind == "transport" else _epigraph_lp(rng, n, m, 3)
+    ours = solve_lp(**lp)
+    oracle = linprog(**lp, method="highs-ds",
+                     options={"primal_feasibility_tolerance": 1e-10,
+                              "dual_feasibility_tolerance": 1e-10})
+    assert oracle.status == 0
+    assert ours.objective == pytest.approx(oracle.fun, rel=1e-10)
+    assert ours.eq_duals.shape == (n + m,)
+    _assert_feasible(ours.x, lp)
+    _assert_feasible(oracle.x, lp)
 
 
 def test_emd_infeasible_weights_rejected():

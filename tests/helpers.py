@@ -114,3 +114,39 @@ def _dykstra_polytope(Z, a, b, iters=400):
         q = X + q - Y
         X = Y
     return _project_affine_marginals(X, a, b)
+
+
+def per_sweep_sinkhorn_oracle(a, b, C, eps, t_max, tol, init_g=None):
+    """The absorption-stabilized Sinkhorn loop with its bound and residual
+    checks after every sweep, kept as a reference for the blocked loop in
+    ``frot.solvers``.  Returns (plan, iterations, converged)."""
+    from frot.solvers import _SCALING_MAX, _SCALING_MIN, _exp, _lse
+
+    def bounded(s):
+        return bool(_SCALING_MIN <= s.min() and s.max() <= _SCALING_MAX)
+
+    log_a, log_b = np.log(a), np.log(b)
+    neg_c = -C / eps
+    psi0 = np.zeros_like(b) if init_g is None else np.asarray(init_g) / eps
+    u, v = np.ones_like(a), np.ones_like(b)
+    K = None
+    converged = False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for iterations in range(1, t_max + 1):
+            if K is not None:
+                u_next = a / Kv
+                v_next = b / (K.T @ u_next)
+            if K is None or not (bounded(u_next) and bounded(v_next)):
+                psi = psi0 + np.log(v)
+                phi0 = log_a - _lse(neg_c + psi[None, :], axis=1)
+                psi0 = log_b - _lse(neg_c + phi0[:, None], axis=0)
+                K = _exp(neg_c + phi0[:, None] + psi0[None, :])
+                u, v = np.ones_like(a), np.ones_like(b)
+                Kv = K.sum(axis=1)
+            else:
+                u, v = u_next, v_next
+                Kv = K @ v
+            if np.abs(u * Kv - a).sum() <= tol:
+                converged = True
+                break
+    return u[:, None] * K * v[None, :], iterations, converged

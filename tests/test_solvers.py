@@ -12,10 +12,20 @@ from frot import (
     sorted_wasserstein_1d,
 )
 from frot import solvers
-from frot.solvers import SolverFailure, _lse, assignment_plan, entropy, solve_lp
+from frot.solvers import (
+    _CHECK_EVERY,
+    _EXP_UNDERFLOW,
+    SolverFailure,
+    _exp,
+    _lse,
+    assignment_plan,
+    entropy,
+    solve_lp,
+)
 
 from helpers import (
     brute_force_emd_uniform,
+    per_sweep_sinkhorn_oracle,
     projected_gradient_entropic_oracle,
     random_birkhoff_plan,
     sinkhorn_fixed_point_oracle,
@@ -151,6 +161,76 @@ def test_lse_matches_plain_formula_bitwise():
             mx = M.max(axis=axis)
             plain = mx + np.log(np.exp(M - np.expand_dims(mx, axis)).sum(axis=axis))
             np.testing.assert_array_equal(_lse(M, axis), plain)
+
+
+def test_exp_writes_no_subnormals():
+    # a subnormal kernel entry slows every mat-vec on it; _exp flushes
+    # them to 0 and keeps every normal result bitwise
+    tiny = np.finfo(float).tiny
+    x = np.concatenate([
+        np.linspace(-750.0, 0.0, 200_001),
+        _EXP_UNDERFLOW + np.arange(-50, 51) * np.spacing(_EXP_UNDERFLOW),
+    ])
+    out = _exp(x)
+    assert not np.any((out != 0.0) & (out < tiny))
+    plain = np.exp(x)
+    kept = x > _EXP_UNDERFLOW
+    np.testing.assert_array_equal(out[kept], plain[kept])
+    assert np.all(out[~kept] == 0.0)
+    assert np.all(plain[x < _EXP_UNDERFLOW] < tiny)
+
+
+def test_lse_bitwise_across_subnormal_flush():
+    # shifted terms in a band around log(tiny), where _exp now writes 0
+    # for what np.exp returns as subnormals
+    rng = np.random.default_rng(8)
+    band = rng.uniform(_EXP_UNDERFLOW - 2.0, _EXP_UNDERFLOW + 2.0, size=(30, 40))
+    band[:, 0] = 0.0
+    band[0, :] = 0.0
+    band[3, :5] = _EXP_UNDERFLOW
+    band[4, :5] = np.nextafter(_EXP_UNDERFLOW, 0.0)
+    for axis in (0, 1):
+        mx = band.max(axis=axis)
+        plain = mx + np.log(np.exp(band - np.expand_dims(mx, axis)).sum(axis=axis))
+        np.testing.assert_array_equal(_lse(band, axis), plain)
+
+
+def _blocked_vs_per_sweep_cases():
+    # (n, m, cost scale, eps); scale 100 at eps 0.01 puts C / eps up to
+    # 1e4, so the scalings leave their bounds and blocks are dropped
+    shapes = ((5, 4), (6, 9), (12, 7), (20, 20), (30, 40))
+    for k, (n, m) in enumerate(shapes):
+        for scale, eps in ((1.0, 0.3), (1.0, 0.05), (100.0, 0.01)):
+            yield pytest.param(n, m, scale, eps, k, id=f"{n}x{m}-s{scale:g}-e{eps:g}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n, m, scale, eps, seed", list(_blocked_vs_per_sweep_cases()))
+def test_blocked_loop_matches_per_sweep_oracle(n, m, scale, eps, seed):
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n, m)))
+    C = scale * rng.uniform(0.0, 1.0, size=(n, m))
+    a = rng.uniform(0.5, 1.5, n)
+    a /= a.sum()
+    b = rng.uniform(0.5, 1.5, m)
+    b /= b.sum()
+    tol = 1e-9
+    for t_max in (1, 3, 25, 1000):
+        result = sinkhorn_solve(a, b, C, SinkhornConfig(eps, t_max=t_max, tol=tol))
+        _, oracle_iters, oracle_converged = per_sweep_sinkhorn_oracle(
+            a, b, C, eps, t_max, tol)
+        assert result.converged == oracle_converged
+        assert result.converged == (result.residuals[-1] <= tol)
+        assert len(result.residuals) <= result.iterations <= t_max
+        if result.converged:
+            # checks fall at most _CHECK_EVERY sweeps apart
+            assert oracle_iters <= result.iterations < oracle_iters + _CHECK_EVERY
+        else:
+            assert result.iterations == oracle_iters == t_max
+        # the same number of sweeps gives the same plan up to rounding
+        plan, iters, _ = per_sweep_sinkhorn_oracle(
+            a, b, C, eps, result.iterations, 1e-300)
+        assert iters == result.iterations
+        assert np.abs(result.plan.matrix - plan).sum() <= 1e-12
 
 
 def test_warm_start_from_converged_column_potential():

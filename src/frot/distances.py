@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import GroupedMeasure, TransportPlan, _pairwise_cost
+from .measures import GroupedMeasure, TransportPlan, _pairwise_cost, build_grouped_cost
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, group_costs
 from .solvers import emd_exact_solve
 
@@ -58,14 +58,6 @@ class FrwdResult:
     alpha: np.ndarray
 
 
-def _group_power_costs(src, dst, distance_kind, p):
-    _check_ground_metric(distance_kind)
-    stack = np.empty((src.n_groups, src.n_points, dst.n_points))
-    for k in range(src.n_groups):
-        stack[k] = _pairwise_cost(src.group(k), dst.group(k), distance_kind) ** p
-    return stack
-
-
 def frwd_distance(
     src: GroupedMeasure,
     dst: GroupedMeasure,
@@ -89,7 +81,8 @@ def frwd_distance(
         raise ValueError("order p must be at least 1")
     if not src.same_group_structure(dst):
         raise ValueError("measures must share the group structure")
-    stack = _group_power_costs(src, dst, distance_kind, p)
+    _check_ground_metric(distance_kind)
+    stack = build_grouped_cost(src, dst, distance_kind).matrices ** p
 
     if method == "lp":
         res = frot_lp_solve(stack, src.weights, dst.weights)

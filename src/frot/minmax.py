@@ -24,7 +24,6 @@ from .solvers import (
     _check_marginals,
     assignment_plan,
     emd_exact_solve,
-    marginal_constraints,
     sinkhorn_solve,
     solve_lp,
 )
@@ -322,14 +321,14 @@ def frot_lp_solve(costs, a, b) -> FrotLpResult:
 
     Variables are vec(P) >= 0 and a free t; the objective is t, the
     inequality rows are vec(C_k) . vec(P) - t <= 0, and the equality rows
-    are the n row and m column marginals.  HiGHS dual simplex without
-    presolve (``solvers.solve_lp``), on the costs scaled to unit maximum,
-    returns an exact vertex optimizer of min_P max_k <P, C_k>;
-    ``iterations`` is its iteration count.
+    are the n row and m column marginals.  ``solvers.solve_lp`` builds
+    this LP from the stack and solves it by HiGHS dual simplex, returning
+    an exact vertex optimizer of min_P max_k <P, C_k>; ``iterations`` is
+    its iteration count.
     """
     stack = _cost_stack(costs)
     a, b = _check_marginals(a, b)
-    L, n, m = stack.shape
+    n, m = stack.shape[1:]
     if (n, m) != (a.size, b.size):
         raise ValueError(f"cost stack shape {stack.shape} does not match weights")
     nm = n * m
@@ -338,22 +337,11 @@ def frot_lp_solve(costs, a, b) -> FrotLpResult:
             f"epigraph LP limited to {LP_MAX_VARIABLES} plan variables, got {nm}"
         )
 
-    scale = float(np.abs(stack).max(initial=0.0)) or 1.0
-    # the L epigraph rows are dense; solve_lp stacks them under the sparse
-    # marginal rows as the inequality block
-    epigraph = np.hstack([stack.reshape(L, nm) / scale, -np.ones((L, 1))])
-    marginals = marginal_constraints(n, m)
-    marginals.resize(n + m, nm + 1)  # a zero column for t
-    c = np.zeros(nm + 1)
-    c[nm] = 1.0
-    bounds = np.tile([0.0, np.inf], (nm + 1, 1))
-    bounds[nm, 0] = -np.inf
-    res = solve_lp(c, marginals, np.concatenate([a, b]),
-                   A_ub=epigraph, b_ub=np.zeros(L), bounds=bounds)
+    res = solve_lp(a, b, stack)
     plan = TransportPlan.from_matrix(res.x[:nm].reshape(n, m), a, b)
-    # nonnegative costs force t* >= 0; snap sub-tolerance solver crud to the
-    # exact zero so p-th roots downstream stay exact
-    objective = scale * float(res.x[nm]) if res.x[nm] > 1e-12 else 0.0
+    # nonnegative costs force t* >= 0; snap sub-tolerance solver crud (t of
+    # the scaled LP) to the exact zero so p-th roots downstream stay exact
+    objective = res.objective if res.x[nm] > 1e-12 else 0.0
     return FrotLpResult(plan=plan, objective=objective, iterations=res.iterations)
 
 

@@ -4,10 +4,12 @@ The entropic solver performs alternating row/column scalings of a Gibbs
 kernel and absorbs the scalings into the dual potentials whenever one grows
 large (Schmitzer 2019, section 3), so one loop is stable at every eps.  Every
 LP in the package, the transportation LP here and the epigraph LP in
-``minmax``, goes through ``solve_lp``: HiGHS dual simplex (Huangfu & Hall
-2018), called through scipy's private HiGHS bindings with presolve off, on
-sparse constraints built from ``marginal_constraints``.  It returns a
-vertex-optimal basic solution together with the equality duals.
+``minmax``, goes through ``solve_lp``, the one place that builds an LP: it
+assembles the column-wise constraint matrix, scales the costs to unit
+maximum and solves by HiGHS dual simplex (Huangfu & Hall 2018), called
+through scipy's private HiGHS bindings with presolve off.  It returns a
+vertex-optimal basic solution, its plan clipped onto the 0 bound, with the
+marginal duals.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as highs
 from scipy.special import xlogy
@@ -268,52 +269,59 @@ class LpResult:
     eq_duals: np.ndarray
 
 
-def marginal_constraints(n: int, m: int) -> sparse.csr_matrix:
-    """Sparse (n + m) x nm rows giving the row sums, then the column sums,
-    of a row-major vec(P) for an n x m plan P."""
-    flat = np.arange(n * m)
-    indices = np.concatenate([flat, flat.reshape(n, m).T.ravel()])
-    indptr = np.concatenate([np.arange(n) * m, n * m + np.arange(m + 1) * n])
-    return sparse.csr_matrix((np.ones(2 * n * m), indices, indptr), shape=(n + m, n * m))
+def solve_lp(a, b, C) -> LpResult:
+    """Solve the transportation LP min <P, C> over couplings of (a, b), or,
+    for a stack C of shape (L, n, m), the epigraph LP min t s.t.
+    <P, C_k> <= t, by HiGHS dual simplex.
 
-
-def solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)) -> LpResult:
-    """Solve min c'x s.t. A_eq x = b_eq, A_ub x <= b_ub within ``bounds`` by
-    HiGHS dual simplex.
-
-    ``bounds`` is one (lower, upper) pair for every variable or one row per
-    variable; ``None`` means unbounded.  Returns a vertex optimizer, its
-    objective, the simplex iteration count and the duals of the equality
-    rows.  Raises :class:`SolverFailure` unless HiGHS reports an optimal
-    solution.
+    The LP runs on the costs scaled to unit maximum, so that the solver's
+    absolute tolerances are relative to the cost scale; ``objective`` and
+    ``eq_duals`` (the n row then m column marginal duals) are scaled back.
+    ``x`` is the LP's vertex: the row-major plan, clipped onto its 0 bound,
+    then for a stack the free t of the scaled LP.  Raises
+    :class:`SolverFailure` unless HiGHS reports an optimal solution.
     """
-    c = np.asarray(c, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float)
-    rows = [sparse.csr_matrix(A_eq)]
-    row_lower, row_upper = [b_eq], [b_eq]
-    if A_ub is not None:
-        b_ub = np.asarray(b_ub, dtype=float)
-        rows.append(sparse.csr_matrix(A_ub))
-        row_lower.append(np.full(b_ub.size, -np.inf))
-        row_upper.append(b_ub)
-    # csr blocks stack by concatenation; HiGHS takes the columns
-    A = sparse.vstack(rows, format="csr").tocsc()
-    lower, upper = np.array(bounds, dtype=float).reshape(-1, 2).T  # None -> nan
-    col_lower = np.broadcast_to(np.where(np.isnan(lower), -np.inf, lower), c.shape)
-    col_upper = np.broadcast_to(np.where(np.isnan(upper), np.inf, upper), c.shape)
+    C = np.asarray(C, dtype=float)
+    n, m = C.shape[-2:]
+    nm = n * m
+    scale = float(np.abs(C).max(initial=0.0)) or 1.0
+    scaled = C / scale
+    # plan column (i, j) holds 1 in row i and in row n + j of the marginal
+    # block, then for a stack C_k[i, j] in epigraph row k: a fixed stride of
+    # 2 + L entries, of which HiGHS drops the explicit zeros
+    index = np.stack(np.divmod(np.arange(nm), m), axis=1) + [0, n]
+    value = np.ones((nm, 2))
+    cost = scaled.ravel()
+    row_lower = row_upper = np.concatenate([a, b])
+    col_lower = np.zeros(nm)
+    if C.ndim == 3:
+        L = len(C)
+        t_rows = n + m + np.arange(L)
+        # np.append flattens the plan columns, then adds t's: -1 in each row
+        index = np.append(np.hstack([index, np.broadcast_to(t_rows, (nm, L))]), t_rows)
+        value = np.append(np.hstack([value, scaled.reshape(L, nm).T]), -np.ones(L))
+        cost = np.zeros(nm + 1)
+        cost[nm] = 1.0
+        row_lower = np.concatenate([row_lower, np.full(L, -np.inf)])
+        row_upper = np.concatenate([row_upper, np.zeros(L)])
+        col_lower = np.append(col_lower, -np.inf)
+    index, value = index.ravel(), value.ravel()
+    stride = 2 + row_lower.size - n - m  # 2 + L
+    # column j starts at j * stride; the last one, t's for a stack, ends at
+    # the last entry
+    start = np.minimum(np.arange(cost.size + 1) * stride, index.size)
 
     lp = highs.HighsLp()
-    lp.num_col_, lp.num_row_ = A.shape[1], A.shape[0]
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, col_lower, col_upper
-    lp.row_lower_, lp.row_upper_ = np.concatenate(row_lower), np.concatenate(row_upper)
+    lp.num_col_, lp.num_row_ = cost.size, row_lower.size
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, col_lower, np.full(cost.size, np.inf)
+    lp.row_lower_, lp.row_upper_ = row_lower, row_upper
     # the bindings copy lists into the matrix about 3x faster than arrays
     matrix = lp.a_matrix_  # column-wise by default
-    matrix.num_col_, matrix.num_row_ = A.shape[1], A.shape[0]
-    matrix.start_, matrix.index_, matrix.value_ = (
-        A.indptr.tolist(), A.indices.tolist(), A.data.tolist())
+    matrix.num_col_, matrix.num_row_ = cost.size, row_lower.size
+    matrix.start_, matrix.index_, matrix.value_ = start.tolist(), index.tolist(), value.tolist()
     solver = highs._Highs()
-    for name, value in _HIGHS_OPTIONS.items():
-        solver.setOptionValue(name, value)
+    for name, option in _HIGHS_OPTIONS.items():
+        solver.setOptionValue(name, option)
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
@@ -324,11 +332,14 @@ def solve_lp(c, A_eq, b_eq, A_ub=None, b_ub=None, bounds=(0, None)) -> LpResult:
             f"after {info.simplex_iteration_count} simplex iterations"
         )
     solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    # HiGHS meets x >= 0 only to its feasibility tolerance
+    np.clip(x[:nm], 0.0, None, out=x[:nm])
     return LpResult(
-        x=np.array(solution.col_value),
-        objective=float(info.objective_function_value),
+        x=x,
+        objective=scale * float(info.objective_function_value),
         iterations=int(info.simplex_iteration_count),
-        eq_duals=np.array(solution.row_dual[:b_eq.size]),
+        eq_duals=scale * np.array(solution.row_dual[:n + m]),
     )
 
 
@@ -345,8 +356,7 @@ def emd_exact_solve(a, b, C) -> EmdResult:
 
     Returns a vertex-optimal plan minimizing <P, C>, its objective, and
     the LP duals of the row/column marginal constraints, from HiGHS dual
-    simplex through ``solve_lp``.  The LP runs on C / max|C|, so that the
-    solver's absolute tolerances are relative to the cost scale.
+    simplex through ``solve_lp``, which scales the costs to unit maximum.
     """
     a, b = _check_marginals(a, b)
     if abs(a.sum() - b.sum()) > 1e-9:
@@ -357,15 +367,13 @@ def emd_exact_solve(a, b, C) -> EmdResult:
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix must be finite")
 
-    n, m = C.shape
-    scale = float(np.abs(C).max(initial=0.0)) or 1.0
-    res = solve_lp((C / scale).ravel(), marginal_constraints(n, m), np.concatenate([a, b]))
-    plan = TransportPlan.from_matrix(res.x.reshape(n, m), a, b)
+    n = a.size
+    res = solve_lp(a, b, C)
     return EmdResult(
-        plan=plan,
-        objective=scale * res.objective,
-        dual_row=scale * res.eq_duals[:n],
-        dual_col=scale * res.eq_duals[n:],
+        plan=TransportPlan.from_matrix(res.x.reshape(C.shape), a, b),
+        objective=res.objective,
+        dual_row=res.eq_duals[:n],
+        dual_col=res.eq_duals[n:],
     )
 
 

@@ -6,7 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import frot.minmax
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -36,3 +39,21 @@ def test_plan_hook_is_a_classmethod():
     module_name, cls_name, attr = tracing.PLAN_HOOK
     cls = getattr(importlib.import_module(module_name), cls_name)
     assert isinstance(cls.__dict__.get(attr), classmethod)
+
+
+def test_frot_lp_solve_calls_the_hooked_solve_lp_once(monkeypatch):
+    """The simplex layer is counted at ``frot.minmax.solve_lp``; if the
+    epigraph LP stopped calling it there, the traced ``simplex.*`` metrics
+    would read 0 without any hook failing to resolve."""
+    calls = []
+    real = frot.minmax.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(frot.minmax, "solve_lp", counting)
+    rng = np.random.default_rng(0)
+    uniform = np.full(4, 0.25)
+    frot.minmax.frot_lp_solve(rng.uniform(size=(2, 4, 4)), uniform, uniform)
+    assert len(calls) == 1

@@ -12,6 +12,7 @@ from frot import (
     sorted_wasserstein_1d,
 )
 from frot import solvers
+from frot.measures import build_grouped_cost, build_grouped_measure
 from frot.solvers import (
     _CHECK_EVERY,
     _EXP_UNDERFLOW,
@@ -328,16 +329,14 @@ def test_emd_complementary_slackness():
 
 
 def test_solve_lp_infeasible_detected():
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
-    b = np.array([1.0, 2.0])
+    # unequal masses: no coupling of the two marginals exists
     with pytest.raises(SolverFailure, match="infeasible"):
-        solve_lp(np.ones(2), A, b)
+        solve_lp([0.5, 0.5], [1.0, 1.0], np.ones((2, 2)))
 
 
 def test_solve_lp_failure_names_status_and_iterations():
-    A = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SolverFailure, match=r"status infeasible after \d+ simplex iterations"):
-        solve_lp(np.ones(2), A, np.array([1.0, 2.0]))
+        solve_lp([0.5, 0.5], [1.0, 1.0], np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -372,54 +371,84 @@ def _random_weights(rng, n):
     return w / w.sum()
 
 
-def _transport_lp(rng, n, m):
-    a, b = _random_weights(rng, n), _random_weights(rng, m)
-    c = rng.uniform(0.0, 1.0, n * m)
-    return dict(c=c, A_eq=solvers.marginal_constraints(n, m), b_eq=np.concatenate([a, b]))
+def _linprog_reference(a, b, C):
+    """The same LP assembled independently for ``linprog``: sparse marginal
+    rows over the row-major vec(P), and for a stack an epigraph block with
+    a free t column."""
+    from scipy import sparse
+    from scipy.optimize import linprog
 
-
-def _epigraph_lp(rng, n, m, L):
-    lp = _transport_lp(rng, n, m)
-    nm = n * m
-    c = np.zeros(nm + 1)
-    c[nm] = 1.0
-    bounds = np.tile([0.0, np.inf], (nm + 1, 1))
-    bounds[nm, 0] = -np.inf
-    return dict(
-        c=c,
-        A_eq=np.hstack([lp["A_eq"].toarray(), np.zeros((n + m, 1))]),
-        b_eq=lp["b_eq"],
-        A_ub=np.hstack([rng.uniform(0.0, 1.0, (L, nm)), -np.ones((L, 1))]),
-        b_ub=np.zeros(L),
-        bounds=bounds,
-    )
-
-
-def _assert_feasible(x, lp, tol=1e-9):
-    lower, upper = np.asarray(lp.get("bounds", (0.0, np.inf)), dtype=float).T
-    assert np.all(x >= lower - tol) and np.all(x <= upper + tol)
-    np.testing.assert_allclose(lp["A_eq"] @ x, lp["b_eq"], rtol=0, atol=tol)
-    if "A_ub" in lp:
-        assert np.all(lp["A_ub"] @ x <= lp["b_ub"] + tol)
+    n, m = C.shape[-2:]
+    A_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))])
+    b_eq = np.concatenate([a, b])
+    highs = dict(method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
+                                             "dual_feasibility_tolerance": 1e-10})
+    if C.ndim == 2:
+        return linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, **highs)
+    L = C.shape[0]
+    return linprog(np.append(np.zeros(n * m), 1.0),
+                   A_ub=sparse.hstack([sparse.csr_matrix(C.reshape(L, -1)), -np.ones((L, 1))]),
+                   b_ub=np.zeros(L),
+                   A_eq=sparse.hstack([A_eq, sparse.csr_matrix((n + m, 1))]), b_eq=b_eq,
+                   bounds=[(0, None)] * (n * m) + [(None, None)], **highs)
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("kind", ["transport", "epigraph"])
+@pytest.mark.parametrize("kind", ["transport", "epigraph", "zeros", "tiny"])
 def test_solve_lp_matches_linprog_oracle(seed, kind):
-    from scipy.optimize import linprog
-
+    """``solve_lp(a, b, C)`` against ``linprog`` on the same LP: random
+    transportation LPs, and epigraph LPs with 3 groups: random, with exact
+    zero entries, and at cost scale 1e-9 (the reference solves that one on
+    the unit-scale costs)."""
     rng = np.random.default_rng(seed)
     n, m = rng.integers(2, 30, size=2)
-    lp = _transport_lp(rng, n, m) if kind == "transport" else _epigraph_lp(rng, n, m, 3)
-    ours = solve_lp(**lp)
-    oracle = linprog(**lp, method="highs-ds",
-                     options={"primal_feasibility_tolerance": 1e-10,
-                              "dual_feasibility_tolerance": 1e-10})
+    a, b = _random_weights(rng, n), _random_weights(rng, m)
+    shape = (n, m) if kind == "transport" else (3, n, m)
+    unit = rng.uniform(0.0, 1.0, shape)
+    if kind == "zeros":
+        unit[rng.uniform(size=shape) < 0.3] = 0.0
+    cost_scale = 1e-9 if kind == "tiny" else 1.0
+    C = cost_scale * unit
+
+    ours = solve_lp(a, b, C)
+    oracle = _linprog_reference(a, b, unit)
     assert oracle.status == 0
-    assert ours.objective == pytest.approx(oracle.fun, rel=1e-10)
+    assert ours.objective == pytest.approx(cost_scale * oracle.fun, rel=1e-10)
+    # objective and duals come back in the caller's units: strong duality
     assert ours.eq_duals.shape == (n + m,)
-    _assert_feasible(ours.x, lp)
-    _assert_feasible(oracle.x, lp)
+    assert a @ ours.eq_duals[:n] + b @ ours.eq_duals[n:] == pytest.approx(ours.objective, rel=1e-9)
+    for x in (ours.x, oracle.x):
+        P = x[:n * m].reshape(n, m)
+        assert P.min() >= -1e-9
+        np.testing.assert_allclose(P.sum(axis=1), a, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(P.sum(axis=0), b, rtol=0, atol=1e-9)
+    P = ours.x[:n * m].reshape(n, m)
+    assert P.min() >= 0.0
+    if C.ndim == 3:
+        assert np.tensordot(C, P).max() <= ours.objective + 1e-9 * cost_scale
+
+
+@pytest.mark.parametrize("seed", [168, 281])
+def test_solve_lp_plan_is_exactly_nonnegative(seed):
+    """HiGHS meets x >= 0 only to its 1e-10 feasibility tolerance; on these
+    epigraph LPs its raw plan has entries of -2.4e-13 (seed 168) and
+    -6.4e-14 (seed 281).  ``solve_lp`` clips them onto the bound."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((40, 12))
+    s = 0.3 * rng.standard_normal(12)
+    y = rng.standard_normal((40, 12)) + s
+    src = build_grouped_measure(x, [2] * 6)
+    dst = build_grouped_measure(y, [2] * 6)
+    stack = build_grouped_cost(src, dst, "squared_euclidean").matrices
+    res = solve_lp(src.weights, dst.weights, stack)
+    plan = res.x[:-1].reshape(40, 40)
+    assert plan.min() >= 0.0
+    np.testing.assert_allclose(plan.sum(axis=1), src.weights, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(plan.sum(axis=0), dst.weights, rtol=0, atol=1e-9)
+    lp = frot_lp_solve(stack, src.weights, dst.weights)
+    assert lp.objective == res.objective
+    np.testing.assert_array_equal(lp.plan.matrix, plan)
 
 
 def test_emd_infeasible_weights_rejected():

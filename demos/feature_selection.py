@@ -21,7 +21,7 @@ class2 = X[labels == 1]
 print(f"two classes of {class1.shape[0]} samples, {X.shape[1]} features, "
       "informative features: 3 and 11")
 
-ranking = frot_feature_importance(class1, class2, eta=1.0)
+ranking = frot_feature_importance(class1, class2)
 top = select_top_k(ranking, 4)
 print("\nrobust-transport importances (top 4):")
 for idx in top:

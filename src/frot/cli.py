@@ -2,8 +2,10 @@
 
 Subcommands cover the solver primitives (sinkhorn, emd, frot, frwd), the
 feature-selection pipeline, synthetic data generation, and the seeded
-experiment runners.  A JSON config file passed with --config overrides any
-flag it names.  Exit codes: 0 success, 2 validation error, 1 solver
+experiment runners.  Each subcommand accepts only the flags it reads.  For
+the ones that build an experiment spec (select-features, synth,
+experiment), a JSON config file passed with --config overrides any flag it
+names.  Exit codes: 0 success, 2 validation error, 1 solver
 failure.
 """
 
@@ -159,15 +161,9 @@ def cmd_experiment(args) -> int:
 
 
 def _spec_from_args(args, scenario: str) -> ExperimentSpec:
-    doc = {
-        "scenario": scenario,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "eta": args.eta,
-        "epsilon": args.epsilon,
-        "fw_iters": args.iters,
-    }
-    for attr, key in (("n", "n"), ("m", "m"), ("trials", "trials"),
+    doc = {"scenario": scenario, "seed": args.seed, "out_dir": args.out}
+    for attr, key in (("eta", "eta"), ("epsilon", "epsilon"), ("iters", "fw_iters"),
+                      ("n", "n"), ("m", "m"), ("trials", "trials"),
                       ("top_k", "top_k"), ("data", "data_path"),
                       ("label_col", "label_col")):
         if getattr(args, attr, None) is not None:
@@ -179,17 +175,25 @@ def _spec_from_args(args, scenario: str) -> ExperimentSpec:
     return ExperimentSpec.from_dict(doc)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, default=1.0,
-                        help="group-weight smoothing strength")
-    parser.add_argument("--epsilon", type=float, default=0.02,
-                        help="entropic regularization")
-    parser.add_argument("--iters", type=int, default=10,
-                        help="iteration budget (Frank-Wolfe or Sinkhorn sweeps)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--config", default=None,
-                        help="JSON config; values named there override flags")
+#: flags shared by several subcommands; each subcommand takes only the ones
+#: it reads, and every one takes --out
+_SHARED_FLAGS = {
+    "--eta": dict(type=float, default=1.0, help="group-weight smoothing strength"),
+    "--epsilon": dict(type=float, default=0.02, help="entropic regularization"),
+    "--iters": dict(type=int, default=10,
+                    help="iteration budget (Frank-Wolfe or Sinkhorn sweeps)"),
+    "--seed": dict(type=int, default=0),
+    "--config": dict(default=None, help="JSON config; values named there override flags"),
+    "--out": dict(default="results", help="output directory"),
+}
+
+#: what an ExperimentSpec is built from
+_SPEC_FLAGS = ("--eta", "--epsilon", "--iters", "--seed", "--config")
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in (*flags, "--out"):
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _add_pair_inputs(parser: argparse.ArgumentParser) -> None:
@@ -208,17 +212,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sinkhorn", help="entropic OT between two measures")
     _add_pair_inputs(p)
-    _add_common(p)
+    _add_shared(p, "--epsilon", "--iters")
     p.set_defaults(func=cmd_sinkhorn, iters=1000)
 
     p = sub.add_parser("emd", help="exact OT between two measures")
     _add_pair_inputs(p)
-    _add_common(p)
+    _add_shared(p)
     p.set_defaults(func=cmd_emd)
 
     p = sub.add_parser("frot", help="group-robust min-max transport")
     _add_pair_inputs(p)
-    _add_common(p)
+    _add_shared(p, "--eta", "--epsilon", "--iters")
     p.add_argument("--solver", choices=("exact_emd", "sinkhorn", "lp"),
                    default="exact_emd", help="subproblem solver, or exact LP")
     p.set_defaults(func=cmd_frot)
@@ -229,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0, help="distance order")
     p.add_argument("--distance", choices=("euclidean", "l1"), default="euclidean")
     p.add_argument("--method", choices=("lp", "fw"), default="lp")
-    _add_common(p)
+    _add_shared(p)
     p.set_defaults(func=cmd_frwd)
 
     p = sub.add_parser("select-features", help="rank and select features")
@@ -239,13 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="label column name (default: last column)")
     p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    _add_common(p)
+    _add_shared(p, *_SPEC_FLAGS)
     p.set_defaults(func=cmd_select_features)
 
     p = sub.add_parser("synth", help="generate the synthetic measure pair")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    _add_common(p)
+    _add_shared(p, "--seed", "--config")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("experiment", help="run a seeded experiment scenario")
@@ -256,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    _add_common(p)
+    _add_shared(p, *_SPEC_FLAGS)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -20,6 +20,9 @@ from .solvers import emd_exact_solve
 
 GROUND_METRICS = ("euclidean", "l1")
 
+#: the decreasing smoothing strengths of ``frwd_distance(method="fw")``
+FW_ETA_SCHEDULE = (1.0, 0.1, 0.01)
+
 
 def _check_ground_metric(kind: str) -> None:
     if kind == "squared_euclidean":
@@ -64,7 +67,6 @@ def frwd_distance(
     distance_kind: str = "euclidean",
     p: float = 2.0,
     method: str = "lp",
-    eta_schedule=(1.0, 0.1, 0.01),
     fw_iters: int = 50,
 ) -> FrwdResult:
     """Feature-robust p-Wasserstein distance between grouped measures.
@@ -72,10 +74,11 @@ def frwd_distance(
     Builds per-group costs d(x^(k), y^(k))^p from a true ground metric,
     solves the min-max transport problem, and returns the p-th root of the
     optimum.  ``method="lp"`` uses the exact epigraph LP (the path used by
-    the metric-axiom tests); ``method="fw"`` runs Frank-Wolfe over the
-    decreasing ``eta_schedule`` with exact subproblems, warm-starting each
-    stage from the last plan, and evaluates the unsmoothed max at the final
-    plan.
+    the metric-axiom tests); ``method="fw"`` runs Frank-Wolfe with exact
+    subproblems at each eta of ``FW_ETA_SCHEDULE`` in turn, and evaluates
+    the unsmoothed max at the final plan.  Each stage starts from the last
+    stage's plan, but its first step has size 1, so that plan sets only the
+    stage's first linearization point.
     """
     if p < 1:
         raise ValueError("order p must be at least 1")
@@ -86,27 +89,20 @@ def frwd_distance(
 
     if method == "lp":
         res = frot_lp_solve(stack, src.weights, dst.weights)
-        plan, value_p = res.plan, res.objective
+        plan = res.plan
+        phi = group_costs(plan, stack)
+        active = phi >= phi.max() - 1e-9 * max(phi.max(), 1.0)
+        value_p, alpha = res.objective, active / active.sum()
     elif method == "fw":
-        schedule = list(eta_schedule)
-        if not schedule:
-            raise ValueError("eta_schedule must be non-empty")
         plan_matrix = None
-        for eta in schedule:
+        for eta in FW_ETA_SCHEDULE:
             cfg = FrotConfig(eta=eta, fw_iters=fw_iters)
             sol = frot_fw_solve(src, dst, stack, cfg, init_matrix=plan_matrix)
             plan_matrix = sol.plan.matrix
-        plan = sol.plan
-        value_p = float(group_costs(plan, stack).max())
+        plan, value_p, alpha = sol.plan, sol.max_group_cost, sol.alpha
     else:
         raise ValueError("method must be 'lp' or 'fw'")
 
-    phi = group_costs(plan, stack)
-    if method == "fw":
-        alpha = sol.alpha
-    else:
-        active = phi >= phi.max() - 1e-9 * max(phi.max(), 1.0)
-        alpha = active / active.sum()
     return FrwdResult(
         value=float(max(value_p, 0.0) ** (1.0 / p)),
         order=float(p),

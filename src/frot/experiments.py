@@ -295,7 +295,10 @@ def _write_rows_csv(path, rows) -> None:
 def _load_labeled_csv(path, label_col=None):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")

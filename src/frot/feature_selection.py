@@ -58,18 +58,19 @@ def _check_classes(class1, class2):
     return x, y
 
 
-def frot_feature_importance(class1, class2, eta: float = 1.0,
+def frot_feature_importance(class1, class2,
                             fw_cfg: FrotConfig | None = None) -> FeatureRanking:
     """Rank features by the robust-transport simplex weights.
 
     Builds singleton-group squared-difference costs between the two sample
-    sets, runs the Frank-Wolfe solver (entropic subsolver by default for
-    speed at large d), and returns the closed-form weights at the final
-    plan together with their descending order.
+    sets, runs the Frank-Wolfe solver (by default eta = 1 and 10
+    iterations of entropic subproblems at epsilon = 0.02, for speed at
+    large d), and returns the closed-form weights at the final plan
+    together with their descending order.
     """
     x, y = _check_classes(class1, class2)
     if fw_cfg is None:
-        fw_cfg = FrotConfig(eta=eta, fw_iters=10, subsolver="sinkhorn", epsilon=0.02)
+        fw_cfg = FrotConfig(eta=1.0, fw_iters=10, subsolver="sinkhorn", epsilon=0.02)
     src = build_grouped_measure(x)
     dst = build_grouped_measure(y)
     costs = build_grouped_cost(src, dst, "squared_euclidean")

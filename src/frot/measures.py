@@ -149,6 +149,18 @@ def build_grouped_measure(points, group_widths=None, weights=None) -> GroupedMea
     return GroupedMeasure(_frozen(pts), tuple(bounds), _frozen(w))
 
 
+def _check_cost_stack(matrices) -> np.ndarray:
+    """The stack as a float array, if it is 3-D, finite and nonnegative."""
+    mats = np.asarray(matrices, dtype=float)
+    if mats.ndim != 3:
+        raise ValueError("cost matrices must be a 3-D stack of shape (L, n, m)")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("cost matrices must be finite")
+    if mats.min(initial=0.0) < 0:
+        raise ValueError("cost matrices must be nonnegative")
+    return mats
+
+
 @dataclass(frozen=True)
 class GroupedCost:
     """Stack of L nonnegative n-by-m cost matrices, one per feature group."""
@@ -157,13 +169,7 @@ class GroupedCost:
     cost_kind: str
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
-        if mats.ndim != 3:
-            raise ValueError("matrices must be a 3-D stack of shape (L, n, m)")
-        if not np.all(np.isfinite(mats)):
-            raise ValueError("cost matrices must be finite")
-        if mats.min(initial=0.0) < 0:
-            raise ValueError("cost matrices must be nonnegative")
+        mats = _check_cost_stack(self.matrices)
         if self.cost_kind == "cosine_normalized" and mats.max(initial=0.0) > 4.0 + 1e-12:
             raise ValueError("cosine_normalized costs must lie in [0, 4]")
         object.__setattr__(self, "matrices", _frozen(mats))

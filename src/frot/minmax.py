@@ -12,12 +12,12 @@ rewrites min-max of linear functions as the epigraph LP min t subject to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp, softmax
 
-from .measures import GroupedCost, GroupedMeasure, TransportPlan
+from .measures import GroupedCost, GroupedMeasure, TransportPlan, _check_cost_stack
 from .solvers import (
     SinkhornConfig,
     SolverFailure,
@@ -36,13 +36,11 @@ SUBSOLVERS = ("exact_emd", "sinkhorn")
 
 
 def _cost_stack(costs) -> np.ndarray:
-    """Accept a GroupedCost or a raw (L, n, m) stack of matrices."""
+    """Accept a GroupedCost or a raw (L, n, m) stack of matrices, checked
+    as GroupedCost checks its own."""
     if isinstance(costs, GroupedCost):
         return costs.matrices
-    stack = np.asarray(costs, dtype=float)
-    if stack.ndim != 3:
-        raise ValueError("costs must be a GroupedCost or an (L, n, m) array")
-    return stack
+    return _check_cost_stack(costs)
 
 
 def _plan_matrix(plan) -> np.ndarray:
@@ -97,24 +95,22 @@ class FrotConfig:
     ``subsolver`` picks the linear-subproblem solver: ``"exact_emd"``
     solves it exactly (by linear assignment when both weight vectors are
     uniform and n = m, else by the transportation LP), ``"sinkhorn"`` adds
-    epsilon-entropy and solves the regularized problem (inexact; the
-    inexactness is surfaced in the solution metadata).  On 50x50 uniform
-    pairs with 10 groups and 10 iterations, one exact solve takes about
-    5 ms and one entropic solve at epsilon = 0.02 about 35 ms.  The
-    iteration starts from the product coupling a b', and each entropic
-    subproblem is warm-started from the previous one's column potential.
+    epsilon-entropy and solves the regularized problem to the Sinkhorn
+    default residual tolerance (inexact; the inexactness is surfaced in the
+    solution metadata).  On 50x50 uniform pairs with 10 groups and 10
+    iterations, one exact solve takes about 5 ms and one entropic solve at
+    epsilon = 0.02 about 35 ms.  The iteration starts from the product
+    coupling a b', and each entropic subproblem is warm-started from the
+    previous one's column potential.
     """
 
     eta: float
     fw_iters: int = 10
     subsolver: str = "exact_emd"
     epsilon: float = 0.02
-    gap_tol: float | None = None
-    sinkhorn_tol: float = 1e-9
     # warm-started subproblems refine across iterations, so each one gets a
     # modest sweep budget by default; raise it when plan accuracy matters
     sinkhorn_t_max: int = 300
-    record_plans: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and np.isfinite(self.epsilon)):
@@ -142,19 +138,15 @@ class FrotSolution:
 
     ``alpha`` is the closed-form softmax weight vector evaluated at the
     returned plan.  ``objective_trace`` holds the smoothed objective at
-    every iterate (length iterations + 1), ``alpha_trace`` the weights at
-    every iterate, and ``fw_gap_trace`` the linearization gaps
-    <P_t - P_hat, M_t> (length iterations).
+    every iterate (length ``fw_iters`` + 1) and ``fw_gap_trace`` the
+    linearization gaps <P_t - P_hat, M_t> (length ``fw_iters``).
     """
 
     plan: TransportPlan
     alpha: np.ndarray
     objective_trace: np.ndarray
-    alpha_trace: np.ndarray
     fw_gap_trace: np.ndarray
-    subsolver_used: str
-    metadata: dict = field(default_factory=dict)
-    plan_trace: list = field(default_factory=list)
+    metadata: dict
 
     @property
     def max_group_cost(self) -> float:
@@ -187,15 +179,6 @@ def round_to_polytope(P: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return P
 
 
-def _initial_plan(a, b, init_matrix):
-    if init_matrix is None:
-        return np.outer(a, b)
-    P0 = np.array(init_matrix, dtype=float)
-    if P0.shape != (a.size, b.size):
-        raise ValueError("init_matrix shape does not match the weights")
-    return P0
-
-
 def frot_fw_solve(
     src: GroupedMeasure,
     dst: GroupedMeasure,
@@ -205,10 +188,10 @@ def frot_fw_solve(
 ) -> FrotSolution:
     """Minimize the smoothed max of group costs with Frank-Wolfe.
 
-    Each iteration linearizes the objective at the current plan (gradient
-    sum_k alpha_k C_k), solves the resulting OT subproblem, and moves with
-    step 2/(2 + t).  All iterates are convex combinations of feasible
-    plans and hence marginal-feasible.
+    Each of the ``cfg.fw_iters`` iterations linearizes the objective at the
+    current plan (gradient sum_k alpha_k C_k), solves the resulting OT
+    subproblem, and moves with step 2/(2 + t).  All iterates are convex
+    combinations of feasible plans and hence marginal-feasible.
 
     Parameters
     ----------
@@ -217,8 +200,10 @@ def frot_fw_solve(
         Per-group cost matrices for the pair.
     cfg : FrotConfig
     init_matrix : ndarray, optional
-        Explicit feasible starting plan in place of a b' (used e.g. to
-        refine an LP solution).
+        A coupling of the two weight vectors to start from in place of
+        a b'.  The first step has size 2/(2 + 0) = 1 and replaces the plan
+        outright, so the starting plan sets only the first linearization
+        point and ``objective_trace[0]``.
     """
     stack = _cost_stack(costs)
     a, b = src.weights, dst.weights
@@ -227,30 +212,31 @@ def frot_fw_solve(
             f"cost stack shape {stack.shape} does not match measure sizes "
             f"({a.size}, {b.size})"
         )
+    if init_matrix is None:
+        P = np.outer(a, b)
+    else:
+        init = TransportPlan.from_matrix(init_matrix, a, b)
+        if init.marginal_residual > 1e-9:
+            raise ValueError(
+                f"init_matrix is not a coupling of the weights (marginal "
+                f"residual {init.marginal_residual:.3g})"
+            )
+        P = init.matrix
     eta = cfg.eta
-
-    P = _initial_plan(a, b, init_matrix)
-    objective_trace = []
-    alpha_trace = []
-    gap_trace = []
-    plan_trace = []
-    sub_converged = []
-    sub_residuals = []
-    init_g = None
-    early_stopped = False
     if cfg.subsolver == "sinkhorn":
-        sub_cfg = SinkhornConfig(
-            epsilon=cfg.epsilon, t_max=cfg.sinkhorn_t_max, tol=cfg.sinkhorn_tol
-        )
+        sub_cfg = SinkhornConfig(epsilon=cfg.epsilon, t_max=cfg.sinkhorn_t_max)
+    init_g = None
+    objective_trace = []
+    gap_trace = []
+    converged_all = True
+    max_residual = 0.0
 
-    iterations = 0
-    for t in range(cfg.fw_iters):
+    for t in range(cfg.fw_iters + 1):
         phi = np.tensordot(stack, P, axes=([1, 2], [0, 1]))
         alpha = softmax(phi / eta)
         objective_trace.append(float(eta * logsumexp(phi / eta)))
-        alpha_trace.append(alpha)
-        if cfg.record_plans:
-            plan_trace.append(P.copy())
+        if t == cfg.fw_iters:
+            break
 
         M = np.tensordot(alpha, stack, axes=1)
         if cfg.subsolver == "exact_emd":
@@ -262,50 +248,30 @@ def frot_fw_solve(
                     raise SolverFailure(
                         f"EMD subproblem failed at iteration {t}: {exc}"
                     ) from exc
-            sub_converged.append(True)
-            sub_residuals.append(0.0)
         else:
             result = sinkhorn_solve(a, b, M, sub_cfg, init_g=init_g)
             # keep every iterate exactly marginal-feasible; the entropic
             # solver's own violation is recorded below
             P_hat = round_to_polytope(result.plan.matrix, a, b)
             init_g = result.potentials[1]
-            sub_converged.append(result.converged)
-            sub_residuals.append(float(result.plan.marginal_residual))
+            converged_all = converged_all and result.converged
+            max_residual = max(max_residual, float(result.plan.marginal_residual))
 
-        gap = float(np.sum((P - P_hat) * M))
-        gap_trace.append(gap)
-        iterations = t + 1
-        if cfg.gap_tol is not None and gap <= cfg.gap_tol:
-            early_stopped = True
-            break
-
+        gap_trace.append(float(np.sum((P - P_hat) * M)))
         gamma = 2.0 / (2.0 + t)
         P = (1.0 - gamma) * P + gamma * P_hat
 
-    phi = np.tensordot(stack, P, axes=([1, 2], [0, 1]))
-    objective_trace.append(float(eta * logsumexp(phi / eta)))
-    final_alpha = softmax(phi / eta)
-    alpha_trace.append(final_alpha)
-    if cfg.record_plans:
-        plan_trace.append(P.copy())
-
     return FrotSolution(
         plan=TransportPlan.from_matrix(P, a, b),
-        alpha=final_alpha,
+        alpha=alpha,
         objective_trace=np.asarray(objective_trace),
-        alpha_trace=np.asarray(alpha_trace),
         fw_gap_trace=np.asarray(gap_trace),
-        subsolver_used=cfg.subsolver,
         metadata={
-            "eta": eta,
-            "iterations": iterations,
-            "early_stopped": early_stopped,
-            "subsolver_converged_all": bool(all(sub_converged)),
-            "max_subsolver_residual": float(max(sub_residuals, default=0.0)),
+            "iterations": cfg.fw_iters,
+            "subsolver_converged_all": bool(converged_all),
+            "max_subsolver_residual": max_residual,
             "max_group_cost": float(phi.max()),
         },
-        plan_trace=plan_trace,
     )
 
 

@@ -146,6 +146,13 @@ def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_g=None) -> SinkhornResult:
         raise ValueError("cost matrix must be finite")
     if C.min() < 0:
         raise ValueError("cost matrix must be nonnegative")
+    if init_g is not None:
+        init_g = np.asarray(init_g, dtype=float)
+        if init_g.shape != b.shape or not np.all(np.isfinite(init_g)):
+            raise ValueError(
+                f"init_g must be a finite vector of shape {b.shape} "
+                f"(got shape {init_g.shape})"
+            )
 
     eps = cfg.epsilon
     plan, f, g, sweeps, residuals = _sinkhorn(a, b, C, cfg, init_g)
@@ -190,7 +197,7 @@ def _sinkhorn(a, b, C, cfg, init_g):
     if init_g is None:
         psi0 = np.zeros_like(b)
     else:
-        psi0 = np.asarray(init_g, dtype=float) / eps
+        psi0 = init_g / eps
     # (u, v) share one buffer, so one min/max pair bounds both
     scalings = np.ones(n + m)
     u, v = scalings[:n], scalings[n:]

@@ -155,3 +155,27 @@ def test_argparse_validation_is_exit_code_2():
     with pytest.raises(SystemExit) as exc:
         main(["frot", "--solver", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["emd", "--eta", "1"],
+    ["frwd", "--iters", "5"],
+    ["sinkhorn", "--seed", "1"],
+    ["frot", "--config", "cfg.json"],
+    ["synth", "--epsilon", "0.1"],
+], ids=lambda argv: f"{argv[0]} {argv[1]}")
+def test_subcommands_reject_flags_they_do_not_read(measure_files, tmp_path, argv):
+    src, dst = measure_files
+    pair = [] if argv[0] == "synth" else ["--source", str(src), "--target", str(dst)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *pair, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_select_features_on_empty_csv_is_exit_code_2(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    code = main(["select-features", "--data", str(empty),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "empty CSV" in capsys.readouterr().err

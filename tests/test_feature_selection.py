@@ -85,7 +85,7 @@ def test_zero_cost_feature_concentrates_weight_on_other():
     # feature 1 is constant and identical across classes: zero cost matrix
     class1 = np.column_stack([np.linspace(-3, -1, 10), np.ones(10)])
     class2 = np.column_stack([np.linspace(1, 3, 10), np.ones(10)])
-    ranking = frot_feature_importance(class1, class2, eta=1.0)
+    ranking = frot_feature_importance(class1, class2)
     phi = None  # softmax bound: alpha_other >= 1 - L * exp(-phi/eta)
     uniform = np.full(10, 0.1)
     phi = emd_exact_solve(

@@ -162,17 +162,20 @@ def test_fw_single_group_degenerates_to_subsolver():
 
 
 def test_fw_iterates_stay_feasible_and_gaps_nonnegative():
+    # the run of t iterations returns the t-th iterate of the longer runs
     rng = np.random.default_rng(8)
     src, dst = random_grouped_pair(rng, 5, 7, [2, 3], uniform_weights=False)
     costs = build_grouped_cost(src, dst, "squared_euclidean")
-    sol = frot_fw_solve(src, dst, costs,
-                        FrotConfig(eta=0.3, fw_iters=12, record_plans=True))
-    assert len(sol.plan_trace) == 13
-    for P in sol.plan_trace:
+    for t in range(1, 13):
+        sol = frot_fw_solve(src, dst, costs, FrotConfig(eta=0.3, fw_iters=t))
+        P = sol.plan.matrix
         assert P.min() >= 0.0
         assert np.abs(P.sum(axis=1) - src.weights).sum() <= 1e-9
         assert np.abs(P.sum(axis=0) - dst.weights).sum() <= 1e-9
-    assert np.all(sol.fw_gap_trace >= -1e-10)
+        assert sol.metadata["iterations"] == t
+        assert sol.objective_trace.shape == (t + 1,)
+        assert sol.fw_gap_trace.shape == (t,)
+        assert np.all(sol.fw_gap_trace >= -1e-10)
 
 
 def test_fw_matches_lp_at_small_eta():
@@ -184,14 +187,54 @@ def test_fw_matches_lp_at_small_eta():
     assert abs(final_max - lp.objective) / max(lp.objective, 1e-12) <= 0.01
 
 
-def test_fw_early_stop_on_gap():
+def test_fw_init_matrix_must_be_a_coupling():
     rng = np.random.default_rng(31)
-    src, dst = random_grouped_pair(rng, 5, 5, [2])
+    src, dst = random_grouped_pair(rng, 3, 3, [2], uniform_weights=False)
     costs = build_grouped_cost(src, dst, "squared_euclidean")
-    sol = frot_fw_solve(src, dst, costs,
-                        FrotConfig(eta=1.0, fw_iters=500, gap_tol=1e-9))
-    assert sol.metadata["early_stopped"]
-    assert sol.metadata["iterations"] < 500
+    cfg = FrotConfig(eta=1.0, fw_iters=3)
+    with pytest.raises(ValueError, match="mass"):
+        frot_fw_solve(src, dst, costs, cfg, init_matrix=np.ones((3, 3)))
+    # unit mass, wrong marginals
+    with pytest.raises(ValueError, match="coupling"):
+        frot_fw_solve(src, dst, costs, cfg, init_matrix=np.full((3, 3), 1.0 / 9.0))
+    with pytest.raises(ValueError, match="shape"):
+        frot_fw_solve(src, dst, costs, cfg, init_matrix=np.eye(2) / 2.0)
+    product = np.outer(src.weights, dst.weights)
+    warm = frot_fw_solve(src, dst, costs, cfg, init_matrix=product)
+    cold = frot_fw_solve(src, dst, costs, cfg)
+    np.testing.assert_array_equal(warm.plan.matrix, cold.plan.matrix)
+    np.testing.assert_array_equal(warm.objective_trace, cold.objective_trace)
+
+
+def test_fw_init_matrix_sets_only_the_first_linearization_point():
+    # step 2/(2 + 0) = 1 replaces the starting plan outright; with one group
+    # every plan has the same weights alpha = (1,), so every start gives the
+    # same iterates after objective_trace[0]
+    rng = np.random.default_rng(4)
+    src, dst = random_grouped_pair(rng, 6, 6, [3])
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    cfg = FrotConfig(eta=1.0, fw_iters=4)
+    cold = frot_fw_solve(src, dst, costs, cfg)
+    warm = frot_fw_solve(src, dst, costs, cfg,
+                         init_matrix=random_birkhoff_plan(rng, 6))
+    assert warm.objective_trace[0] != cold.objective_trace[0]
+    np.testing.assert_array_equal(warm.objective_trace[1:], cold.objective_trace[1:])
+    np.testing.assert_array_equal(warm.plan.matrix, cold.plan.matrix)
+
+
+@pytest.mark.parametrize("stack", [np.full((2, 3, 3), np.nan),
+                                   np.full((2, 3, 3), np.inf),
+                                   np.full((2, 3, 3), -1.0)],
+                         ids=["nan", "inf", "negative"])
+def test_raw_cost_stacks_are_validated(stack):
+    src, dst = random_grouped_pair(np.random.default_rng(0), 3, 3, [1, 1])
+    a, b = src.weights, dst.weights
+    with pytest.raises(ValueError, match="cost matrices must be"):
+        frot_lp_solve(stack, a, b)
+    with pytest.raises(ValueError, match="cost matrices must be"):
+        frot_fw_solve(src, dst, stack, FrotConfig(eta=1.0, fw_iters=2))
+    with pytest.raises(ValueError, match="cost matrices must be"):
+        group_costs(np.outer(a, b), stack)
 
 
 def _count_lp_calls(monkeypatch):

@@ -252,6 +252,18 @@ def test_warm_start_from_converged_column_potential():
         assert np.abs(warm.plan.matrix - cold.plan.matrix).sum() <= 1e-8
 
 
+@pytest.mark.parametrize("init_g", [np.zeros(1), np.zeros(5), np.zeros((4, 1)),
+                                    np.array([0.0, np.nan, 0.0, 0.0]),
+                                    np.array([0.0, 0.0, -np.inf, 0.0])],
+                         ids=["length-1", "length-5", "column", "nan", "inf"])
+def test_warm_start_potential_is_checked(init_g):
+    C = np.random.default_rng(7).uniform(0.0, 1.0, size=(3, 4))
+    a = np.full(3, 1.0 / 3.0)
+    b = np.full(4, 0.25)
+    with pytest.raises(ValueError, match="init_g"):
+        sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=0.1), init_g=init_g)
+
+
 def test_non_convergence_is_flagged_not_fatal():
     rng = np.random.default_rng(2)
     C = rng.uniform(0.0, 1.0, size=(8, 8))

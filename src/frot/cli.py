@@ -19,14 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .distances import frwd_distance
-from .experiments import (
-    ExperimentSpec,
-    emit_synthetic_pair,
-    run_experiment,
-    write_json,
-    write_plan_csv,
-)
-from .measures import build_grouped_cost, load_measure_csv, load_measure_json
+from .experiments import ExperimentSpec, emit_synthetic_pair, run_experiment
+from .measures import (build_grouped_cost, load_measure_csv, load_measure_json, write_json,
+                       write_plan_csv)
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve
 from .solvers import SinkhornConfig, SolverFailure, emd_exact_solve, sinkhorn_solve
 
@@ -44,12 +39,6 @@ def _load_measure(path: str):
     return load_measure_csv(path)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_pair(args):
     src = _load_measure(args.source)
     dst = _load_measure(args.target)
@@ -61,7 +50,7 @@ def cmd_sinkhorn(args) -> int:
     src, dst, costs = _load_pair(args)
     cfg = SinkhornConfig(epsilon=args.epsilon, t_max=args.iters)
     result = sinkhorn_solve(src.weights, dst.weights, costs.total(), cfg)
-    out = _out_dir(args)
+    out = Path(args.out)
     write_plan_csv(out / "plan.csv", result.plan.matrix)
     write_json(out / "result.json", {
         "objective": result.objective,
@@ -79,7 +68,7 @@ def cmd_sinkhorn(args) -> int:
 def cmd_emd(args) -> int:
     src, dst, costs = _load_pair(args)
     result = emd_exact_solve(src.weights, dst.weights, costs.total())
-    out = _out_dir(args)
+    out = Path(args.out)
     write_plan_csv(out / "plan.csv", result.plan.matrix)
     write_json(out / "result.json", {
         "objective": result.objective,
@@ -91,7 +80,7 @@ def cmd_emd(args) -> int:
 
 def cmd_frot(args) -> int:
     src, dst, costs = _load_pair(args)
-    out = _out_dir(args)
+    out = Path(args.out)
     if args.solver == "lp":
         lp = frot_lp_solve(costs, src.weights, dst.weights)
         write_plan_csv(out / "plan.csv", lp.plan.matrix)
@@ -123,7 +112,7 @@ def cmd_frwd(args) -> int:
     dst = _load_measure(args.target)
     result = frwd_distance(src, dst, distance_kind=args.distance, p=args.p,
                            method=args.method)
-    out = _out_dir(args)
+    out = Path(args.out)
     write_plan_csv(out / "plan.csv", result.plan.matrix)
     write_json(out / "result.json", {
         "value": result.value,

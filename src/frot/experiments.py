@@ -3,14 +3,13 @@
 Every runner writes plot-ready artifacts (plans as dense CSV, traces and
 weights as JSON) plus a manifest recording the full configuration, seed,
 library versions, and wall time.  Result files are deterministic given the
-spec, and grid points are written atomically.
+spec.  All of them go through the artifact I/O of :mod:`frot.measures`: LF
+line endings, floats as their shortest round-trip repr, a quoted header
+row, and every file written atomically.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -22,12 +21,11 @@ import scipy
 from . import __version__
 from .feature_selection import (RANK_METHODS, baseline_rank, frot_feature_importance,
                                 select_top_k)
-from .measures import build_grouped_cost, load_measure_csv, save_measure_csv
+from .measures import (build_grouped_cost, load_measure_csv, read_csv, save_measure_csv,
+                       write_csv, write_json, write_plan_csv)
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
 from .solvers import SinkhornConfig, sinkhorn_solve
 from .synthetic import EFFECTIVE_COV, comparison_instance, labeled_synthetic, synth_generate
-
-SCHEMA_VERSION = "1"
 
 SCENARIOS = ("noise_robustness", "solver_comparison", "feature_selection")
 
@@ -85,31 +83,6 @@ class ExperimentSpec:
         return cls(**doc)
 
 
-# ---------------------------------------------------------------------------
-# Atomic, deterministic emission helpers
-# ---------------------------------------------------------------------------
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def write_json(path, doc: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **doc}
-    _atomic_write(Path(path), json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def write_plan_csv(path, matrix) -> None:
-    rows = "\n".join(",".join(repr(float(v)) for v in row) for row in np.asarray(matrix))
-    _atomic_write(Path(path), rows + "\n")
-
-
-def read_plan_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
 def _write_manifest(out_dir: Path, spec: ExperimentSpec, wall_time: float,
                     outputs, notes=None) -> None:
     write_json(out_dir / "manifest.json", {
@@ -123,7 +96,7 @@ def _write_manifest(out_dir: Path, spec: ExperimentSpec, wall_time: float,
             "frot": __version__,
         },
         "wall_time_s": wall_time,
-        "outputs": sorted(outputs),
+        "outputs": sorted([*outputs, "manifest.json"]),
         "notes": notes or {},
     })
 
@@ -153,7 +126,6 @@ def run_noise_robustness(spec: ExperimentSpec) -> dict:
     """
     start = time.perf_counter()
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = spec.n if spec.n is not None else 50
     m = spec.m if spec.m is not None else 50
 
@@ -196,7 +168,7 @@ def run_noise_robustness(spec: ExperimentSpec) -> dict:
         "converged": {"ot_clean": ot_clean.converged, "ot_noisy": ot_noisy.converged},
     }
     write_json(out_dir / "summary.json", summary)
-    _write_manifest(out_dir, spec, time.perf_counter() - start, outputs + ["manifest.json"],
+    _write_manifest(out_dir, spec, time.perf_counter() - start, outputs,
                     notes={"signal_covariance_psd_projection": EFFECTIVE_COV.tolist()})
     return summary
 
@@ -221,7 +193,6 @@ def run_solver_comparison(spec: ExperimentSpec) -> dict:
     """
     start = time.perf_counter()
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = spec.n if spec.n is not None else 20
     m = spec.m if spec.m is not None else 20
 
@@ -266,8 +237,8 @@ def run_solver_comparison(spec: ExperimentSpec) -> dict:
         })
 
     outputs = ["eta_sweep.csv", "epsilon_sweep.csv", "lp_plan.csv", "summary.json"]
-    _write_rows_csv(out_dir / "eta_sweep.csv", eta_rows)
-    _write_rows_csv(out_dir / "epsilon_sweep.csv", eps_rows)
+    for name, rows in (("eta_sweep.csv", eta_rows), ("epsilon_sweep.csv", eps_rows)):
+        write_csv(out_dir / name, [list(row.values()) for row in rows], list(rows[0]))
     write_plan_csv(out_dir / "lp_plan.csv", lp.plan.matrix)
     summary = {
         "lp_objective": lp.objective,
@@ -275,16 +246,8 @@ def run_solver_comparison(spec: ExperimentSpec) -> dict:
         "epsilon_sweep": eps_rows,
     }
     write_json(out_dir / "summary.json", summary)
-    _write_manifest(out_dir, spec, time.perf_counter() - start,
-                    outputs + ["manifest.json"])
+    _write_manifest(out_dir, spec, time.perf_counter() - start, outputs)
     return summary
-
-
-def _write_rows_csv(path, rows) -> None:
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    lines += [",".join(repr(float(row[key])) for key in header) for row in rows]
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +256,13 @@ def _write_rows_csv(path, rows) -> None:
 
 
 def _load_labeled_csv(path, label_col=None):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    header, data = read_csv(path)
     if label_col is None:
         label_idx = len(header) - 1
     else:
         if label_col not in header:
             raise ValueError(f"{path}: label column {label_col!r} not in header")
         label_idx = header.index(label_col)
-    data = np.array([[float(v) for v in row] for row in rows])
     labels = data[:, label_idx]
     X = np.delete(data, label_idx, axis=1)
     names = [h for i, h in enumerate(header) if i != label_idx]
@@ -318,9 +272,9 @@ def _load_labeled_csv(path, label_col=None):
     return X, labels, names, classes
 
 
-def _train_test_split(n_rows: int, rng: np.random.Generator, train_fraction=0.75):
+def _train_test_split(n_rows: int, rng: np.random.Generator):
     order = rng.permutation(n_rows)
-    n_train = int(round(train_fraction * n_rows))
+    n_train = int(round(0.75 * n_rows))
     return order[:n_train], order[n_train:]
 
 
@@ -342,7 +296,6 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
     """
     start = time.perf_counter()
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if spec.data_path is not None:
         X_all, labels_all, names, classes = _load_labeled_csv(spec.data_path, spec.label_col)
@@ -355,7 +308,6 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
     d = X_all.shape[1]
     top_counts = {method: np.zeros(d, dtype=int) for method in RANK_METHODS}
     trials_out = []
-    first_artifacts = {}
 
     for trial in range(spec.trials):
         trial_seed = spec.seed + trial
@@ -387,33 +339,24 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
         trials_out.append(entry)
 
         if trial == 0:
-            selected = select_top_k(rankings["frot"], spec.top_k)
-            first_artifacts = {
-                "rankings": rankings,
-                "selected": selected,
-                "train": (X_train, y_train),
-                "test": (X_test, y_test),
-            }
+            for method, ranking in rankings.items():
+                write_json(out_dir / f"ranking_{method}.json", {
+                    "method": method,
+                    "importances": ranking.importances.tolist(),
+                    "order": ranking.order.tolist(),
+                    "config": {"eta": spec.eta, "fw_iters": spec.fw_iters,
+                               "epsilon": spec.epsilon, "top_k": spec.top_k,
+                               "standardized": True},
+                })
+            selected = entry["frot"]["top_k"]
+            header = [names[i] for i in selected] + ["label"]
+            for split, X_split, y_split in (("train", X_train, y_train),
+                                            ("test", X_test, y_test)):
+                write_csv(out_dir / f"selected_{split}.csv",
+                          np.column_stack([X_split[:, selected], y_split]), header)
 
-    outputs = ["rankings.json"]
-    for method, ranking in first_artifacts["rankings"].items():
-        name = f"ranking_{method}.json"
-        write_json(out_dir / name, {
-            "method": method,
-            "importances": ranking.importances.tolist(),
-            "order": ranking.order.tolist(),
-            "config": {"eta": spec.eta, "fw_iters": spec.fw_iters,
-                       "epsilon": spec.epsilon, "top_k": spec.top_k,
-                       "standardized": True},
-        })
-        outputs.append(name)
-    for split in ("train", "test"):
-        X_split, y_split = first_artifacts[split]
-        name = f"selected_{split}.csv"
-        _write_reduced_csv(out_dir / name, X_split, y_split,
-                           first_artifacts["selected"], names)
-        outputs.append(name)
-
+    outputs = (["rankings.json", "selected_train.csv", "selected_test.csv"]
+               + [f"ranking_{method}.json" for method in RANK_METHODS])
     summary = {
         "top_k": spec.top_k,
         "trials": trials_out,
@@ -421,23 +364,13 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
         "feature_names": names,
     }
     write_json(out_dir / "rankings.json", summary)
-    _write_manifest(out_dir, spec, time.perf_counter() - start,
-                    outputs + ["manifest.json"])
+    _write_manifest(out_dir, spec, time.perf_counter() - start, outputs)
     return summary
-
-
-def _write_reduced_csv(path, X, labels, selected, names) -> None:
-    header = [names[i] for i in selected] + ["label"]
-    lines = [",".join(header)]
-    for row, label in zip(X[:, selected], labels):
-        lines.append(",".join(repr(float(v)) for v in row) + "," + repr(float(label)))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def emit_synthetic_pair(spec: ExperimentSpec) -> dict:
     """Generate the synthetic pair and write both measures as CSV."""
     out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     n = spec.n if spec.n is not None else 20
     m = spec.m if spec.m is not None else 20
     src, dst = synth_generate(n, m, spec.seed)

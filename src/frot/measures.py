@@ -8,9 +8,12 @@ groups.  All solvers in this package operate on these types.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -282,90 +285,111 @@ class TransportPlan:
 
 
 # ---------------------------------------------------------------------------
-# CSV / JSON ingestion and emission
+# Artifact I/O: every CSV and JSON file is read and written here, in one
+# format: LF line endings, floats as their shortest round-trip repr, a
+# csv-quoted header row, and each file written atomically (to a temporary
+# sibling that is then renamed over the target)
 # ---------------------------------------------------------------------------
+
+SCHEMA_VERSION = "1"
 
 _GROUP_COL = re.compile(r"^g(\d+)_")
 
 
-def load_measure_csv(path) -> GroupedMeasure:
-    """Read a measure from CSV: one row per point, columns ``g<k>_*`` declare
-    group membership, an optional trailing ``weight`` column carries masses."""
+def _atomic_write(path, text: str) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, doc: dict) -> None:
+    """Write a result document stamped with ``SCHEMA_VERSION``."""
+    doc = {"schema_version": SCHEMA_VERSION, **doc}
+    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def write_csv(path, rows, header=None) -> None:
+    """Write a float matrix, one line per row, under an optional header."""
+    out = io.StringIO()
+    if header is not None:
+        csv.writer(out, lineterminator="\n").writerow(header)
+    out.writelines(",".join(map(repr, row)) + "\n"
+                   for row in np.asarray(rows, dtype=float).tolist())
+    _atomic_write(path, out.getvalue())
+
+
+def read_csv(path):
+    """Read a CSV with a header row: ``(header, data)``, where ``data`` is
+    a float array with one row per non-blank line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
         rows = [row for row in reader if row]
-
-    group_of_col = []
-    weight_col = None
-    for idx, name in enumerate(header):
-        m = _GROUP_COL.match(name.strip())
-        if m:
-            if weight_col is not None:
-                raise ValueError(f"{path}: feature column {name!r} after weight column")
-            group_of_col.append(int(m.group(1)))
-        elif name.strip() == "weight":
-            weight_col = idx
-        else:
-            raise ValueError(f"{path}: column {name!r} is neither 'g<k>_*' nor 'weight'")
-    if not group_of_col:
-        raise ValueError(f"{path}: no feature columns with 'g<k>_' prefixes")
-
-    groups_seen = sorted(set(group_of_col))
-    if groups_seen != list(range(len(groups_seen))):
-        raise ValueError(f"{path}: group indices must be 0..L-1, got {groups_seen}")
-    widths = []
-    prev = group_of_col[0]
-    if prev != 0:
-        raise ValueError(f"{path}: first feature column must belong to group 0")
-    count = 0
-    for g in group_of_col:
-        if g == prev:
-            count += 1
-        elif g == prev + 1:
-            widths.append(count)
-            prev, count = g, 1
-        else:
-            raise ValueError(f"{path}: group columns must be contiguous and ascending")
-    widths.append(count)
-
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.array([[float(v) for v in row] for row in rows])
-    if weight_col is not None:
-        weights = data[:, weight_col]
-        points = np.delete(data, weight_col, axis=1)
-    else:
-        weights = None
-        points = data
-    return build_grouped_measure(points, widths, weights)
+    widths = {len(row) for row in rows}
+    if widths != {len(header)}:
+        raise ValueError(f"{path}: rows of {sorted(widths)} values under a "
+                         f"{len(header)}-name header")
+    return header, np.array([[float(v) for v in row] for row in rows])
+
+
+def write_plan_csv(path, matrix) -> None:
+    """Write a transport plan as a headerless :func:`write_csv` file."""
+    write_csv(path, matrix)
+
+
+def read_plan_csv(path) -> np.ndarray:
+    """Read a plan written by :func:`write_plan_csv`."""
+    return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def load_measure_csv(path) -> GroupedMeasure:
+    """Read a measure from CSV: one row per point, columns ``g<k>_*`` declare
+    group membership (contiguous, ascending from group 0), and an optional
+    last column ``weight`` carries masses."""
+    header, data = read_csv(path)
+    names = [name.strip() for name in header]
+    weights = None
+    if names[-1] == "weight":
+        names, data, weights = names[:-1], data[:, :-1], data[:, -1]
+    groups = []
+    for name in names:
+        m = _GROUP_COL.match(name)
+        if m is None:
+            raise ValueError(f"{path}: column {name!r} is not 'g<k>_*' "
+                             "(only the last column may be 'weight')")
+        groups.append(int(m.group(1)))
+    if not groups:
+        raise ValueError(f"{path}: no feature columns with 'g<k>_' prefixes")
+    steps = np.diff(groups)
+    if groups[0] != 0 or np.any((steps != 0) & (steps != 1)):
+        raise ValueError(f"{path}: group columns must be contiguous and "
+                         "ascending from group 0")
+    return build_grouped_measure(data, np.bincount(groups), weights)
 
 
 def save_measure_csv(measure: GroupedMeasure, path) -> None:
     """Write a measure as CSV in the format read by :func:`load_measure_csv`."""
-    header = []
-    for k, (lo, hi) in enumerate(measure.group_bounds):
-        header.extend(f"g{k}_{j}" for j in range(hi - lo))
-    header.append("weight")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(measure.n_points):
-            writer.writerow([repr(float(v)) for v in measure.points[i]]
-                            + [repr(float(measure.weights[i]))])
+    header = [f"g{k}_{j}" for k, width in enumerate(measure.group_widths)
+              for j in range(width)]
+    write_csv(path, np.column_stack([measure.points, measure.weights]),
+              header + ["weight"])
 
 
-def load_measure_json(source) -> GroupedMeasure:
-    """Read a measure from a JSON file path or an already-parsed dict with
-    keys ``points``, ``group_widths`` and optional ``weights``."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
+def load_measure_json(path) -> GroupedMeasure:
+    """Read a measure from a JSON file with keys ``points``,
+    ``group_widths`` and optional ``weights``."""
+    with open(path) as fh:
+        doc = json.load(fh)
     if "points" not in doc:
         raise ValueError("measure JSON must contain 'points'")
     return build_grouped_measure(
@@ -374,10 +398,8 @@ def load_measure_json(source) -> GroupedMeasure:
 
 
 def save_measure_json(measure: GroupedMeasure, path) -> None:
-    doc = {
+    _atomic_write(path, json.dumps({
         "points": measure.points.tolist(),
         "group_widths": list(measure.group_widths),
         "weights": measure.weights.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    }))

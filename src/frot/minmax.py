@@ -58,16 +58,21 @@ def group_costs(plan, costs) -> np.ndarray:
     return np.tensordot(stack, P, axes=([1, 2], [0, 1]))
 
 
+def _smoothed_max(phi: np.ndarray, eta: float):
+    """The soft maximum eta * log sum exp(phi/eta) of the group costs phi
+    and its maximizing weights softmax(phi/eta), both max-shifted."""
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    return float(eta * logsumexp(phi / eta)), softmax(phi / eta)
+
+
 def smoothed_max_objective(plan, costs, eta: float) -> float:
     """Soft maximum of the per-group costs: eta * log sum exp(<P, C_k>/eta).
 
     Computed with a max-shifted log-sum-exp; exact for a single group and
     bounded between max_k <P, C_k> and max_k <P, C_k> + eta * log L.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    phi = group_costs(plan, costs)
-    return float(eta * logsumexp(phi / eta))
+    return _smoothed_max(group_costs(plan, costs), eta)[0]
 
 
 def alpha_weights(plan, costs, eta: float) -> np.ndarray:
@@ -76,10 +81,7 @@ def alpha_weights(plan, costs, eta: float) -> np.ndarray:
     alpha_k = exp(<P, C_k>/eta) / sum_k' exp(<P, C_k'>/eta), evaluated with
     a max shift so large cost ratios cannot overflow.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    phi = group_costs(plan, costs)
-    return softmax(phi / eta)
+    return _smoothed_max(group_costs(plan, costs), eta)[1]
 
 
 def frot_gradient(plan, costs, eta: float) -> np.ndarray:
@@ -97,11 +99,11 @@ class FrotConfig:
     uniform and n = m, else by the transportation LP), ``"sinkhorn"`` adds
     epsilon-entropy and solves the regularized problem to the Sinkhorn
     default residual tolerance (inexact; the inexactness is surfaced in the
-    solution metadata).  On 50x50 uniform pairs with 10 groups and 10
-    iterations, one exact solve takes about 5 ms and one entropic solve at
-    epsilon = 0.02 about 35 ms.  The iteration starts from the product
-    coupling a b', and each entropic subproblem is warm-started from the
-    previous one's column potential.
+    solution metadata).  On the 50x50 synthetic pairs (2 groups) with 10
+    iterations, a solve including the cost build takes a median of about
+    3.4 ms exact and 21 ms entropic at epsilon = 0.02 (2-vCPU container).
+    The iteration starts from the product coupling a b', and each entropic
+    subproblem is warm-started from the previous one's column potential.
     """
 
     eta: float
@@ -222,7 +224,6 @@ def frot_fw_solve(
                 f"residual {init.marginal_residual:.3g})"
             )
         P = init.matrix
-    eta = cfg.eta
     if cfg.subsolver == "sinkhorn":
         sub_cfg = SinkhornConfig(epsilon=cfg.epsilon, t_max=cfg.sinkhorn_t_max)
     init_g = None
@@ -233,8 +234,8 @@ def frot_fw_solve(
 
     for t in range(cfg.fw_iters + 1):
         phi = np.tensordot(stack, P, axes=([1, 2], [0, 1]))
-        alpha = softmax(phi / eta)
-        objective_trace.append(float(eta * logsumexp(phi / eta)))
+        objective, alpha = _smoothed_max(phi, cfg.eta)
+        objective_trace.append(objective)
         if t == cfg.fw_iters:
             break
 

@@ -9,7 +9,7 @@ import pytest
 
 from frot import build_grouped_measure, save_measure_csv, save_measure_json
 from frot.cli import main
-from frot.experiments import read_plan_csv
+from frot.measures import read_plan_csv
 from frot.solvers import SolverFailure
 
 pytestmark = pytest.mark.filterwarnings(

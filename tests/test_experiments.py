@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -7,13 +8,12 @@ from frot import load_measure_csv
 from frot.experiments import (
     ExperimentSpec,
     emit_synthetic_pair,
-    read_plan_csv,
     run_experiment,
     run_feature_selection,
     run_noise_robustness,
     run_solver_comparison,
-    write_plan_csv,
 )
+from frot.measures import read_plan_csv, write_plan_csv
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore:Sinkhorn stopped at t_max:RuntimeWarning"
@@ -141,6 +141,28 @@ def test_feature_selection_from_csv(tmp_path):
     summary = run_feature_selection(spec)
     assert summary["feature_names"] == ["a", "b", "c"]
     assert summary["trials"][0]["frot"]["top_k"] == [1]
+
+
+def test_reduced_csv_headers_quote_feature_names(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = ['"a,b",c,d,label']
+    for _ in range(30):
+        label = rng.integers(0, 2)
+        feats = rng.normal(size=3)
+        feats[[0, 2]] += 4.0 * label
+        rows.append(",".join(repr(float(v)) for v in feats) + f",{label}")
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("\n".join(rows) + "\n")
+    spec = ExperimentSpec(scenario="feature_selection", seed=0,
+                          out_dir=str(tmp_path / "fs"), trials=1, top_k=2,
+                          data_path=str(data_path))
+    summary = run_feature_selection(spec)
+    assert summary["feature_names"] == ["a,b", "c", "d"]
+    for split in ("train", "test"):
+        with open(tmp_path / "fs" / f"selected_{split}.csv", newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert sorted(header[:-1]) == ["a,b", "d"] and header[-1] == "label"
+        assert body and all(len(row) == len(header) for row in body)
 
 
 def test_feature_selection_csv_errors(tmp_path):

@@ -217,6 +217,7 @@ def test_csv_round_trip(tmp_path):
                                weights=rng.uniform(0.5, 1.5, 4))
     path = tmp_path / "measure.csv"
     save_measure_csv(mu, path)
+    assert b"\r" not in path.read_bytes()
     back = load_measure_csv(path)
     np.testing.assert_array_equal(back.points, mu.points)
     np.testing.assert_array_equal(back.weights, mu.weights)
@@ -231,6 +232,34 @@ def test_csv_header_errors(tmp_path):
     path.write_text("g1_0,g0_0\n1.0,2.0\n")
     with pytest.raises(ValueError, match="group 0"):
         load_measure_csv(path)
+    path.write_text("g0_0,weight,g1_0\n1.0,1.0,2.0\n")
+    with pytest.raises(ValueError, match="last column"):
+        load_measure_csv(path)
+    path.write_text("g0_0,g0_1,weight\n1.0,2.0\n")
+    with pytest.raises(ValueError, match=r"rows of \[2\] values under a 3-name header"):
+        load_measure_csv(path)
+    path.write_text("g0_0,g0_1\n1.0,2.0\n3.0\n")
+    with pytest.raises(ValueError, match=r"rows of \[1, 2\] values under a 2-name"):
+        load_measure_csv(path)
+
+
+def test_measure_files_are_written_atomically(tmp_path, monkeypatch):
+    mu = build_grouped_measure([[0.0, 1.0], [2.0, 3.0]], [2])
+    nu = build_grouped_measure([[5.0, 6.0]], [1, 1])
+    for save in (save_measure_csv, save_measure_json):
+        path = tmp_path / "measure"
+        save(mu, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("frot.measures.os.replace", fail)
+            with pytest.raises(OSError, match="disk full"):
+                save(nu, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_json_round_trip(tmp_path):

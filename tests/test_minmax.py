@@ -137,8 +137,9 @@ def test_fw_concentrates_on_informative_group():
     assert sol.alpha[0] >= 0.999
     assert sol.plan.marginal_residual <= 1e-12
     assert np.all(np.isfinite(sol.objective_trace))
-    np.testing.assert_allclose(sol.alpha, alpha_weights(sol.plan, costs, 1.0),
-                               atol=1e-12)
+    # FW evaluates (objective, alpha) with the public formulas, bit for bit
+    np.testing.assert_array_equal(sol.alpha, alpha_weights(sol.plan, costs, 1.0))
+    assert sol.objective_trace[-1] == smoothed_max_objective(sol.plan, costs, 1.0)
 
 
 def test_fw_single_group_degenerates_to_subsolver():

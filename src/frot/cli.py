@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .distances import frwd_distance
-from .experiments import ExperimentSpec, emit_synthetic_pair, run_experiment
+from .experiments import SCENARIOS, ExperimentSpec, emit_synthetic_pair, run_experiment
 from .measures import (build_grouped_cost, load_measure_csv, load_measure_json, write_json,
                        write_plan_csv)
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve
@@ -176,7 +176,8 @@ _SHARED_FLAGS = {
     "--out": dict(default="results", help="output directory"),
 }
 
-#: what an ExperimentSpec is built from
+#: what an ExperimentSpec is built from; these subcommands default --epsilon
+#: and --iters to None, so the scenario's value applies
 _SPEC_FLAGS = ("--eta", "--epsilon", "--iters", "--seed", "--config")
 
 
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-k", dest="top_k", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     _add_shared(p, *_SPEC_FLAGS)
-    p.set_defaults(func=cmd_select_features)
+    p.set_defaults(func=cmd_select_features, epsilon=None, iters=None)
 
     p = sub.add_parser("synth", help="generate the synthetic measure pair")
     p.add_argument("--n", type=int, default=None)
@@ -242,15 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("experiment", help="run a seeded experiment scenario")
-    p.add_argument("--scenario", required=True,
-                   choices=("noise_robustness", "solver_comparison",
-                            "feature_selection"))
+    p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--top-k", dest="top_k", type=int, default=None)
     _add_shared(p, *_SPEC_FLAGS)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, epsilon=None, iters=None)
 
     return parser
 

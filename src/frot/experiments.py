@@ -1,18 +1,19 @@
 """Seeded experiment runners and their on-disk result formats.
 
 Every runner writes plot-ready artifacts (plans as dense CSV, traces and
-weights as JSON) plus a manifest recording the full configuration, seed,
-library versions, and wall time.  Result files are deterministic given the
-spec.  All of them go through the artifact I/O of :mod:`frot.measures`: LF
-line endings, floats as their shortest round-trip repr, a quoted header
-row, and every file written atomically.
+weights as JSON) plus a manifest recording the configuration the run used
+(scenario defaults filled in), seed, library versions, and wall time.
+Result files are deterministic given the spec.  All of them go through the
+artifact I/O of :mod:`frot.measures`: LF line endings, floats as their
+shortest round-trip repr, a quoted header row, and every file written
+atomically.
 """
 
 from __future__ import annotations
 
 import platform
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,32 @@ from .synthetic import EFFECTIVE_COV, comparison_instance, labeled_synthetic, sy
 
 SCENARIOS = ("noise_robustness", "solver_comparison", "feature_selection")
 
+#: each scenario's values for the spec fields left at ``None``; the
+#: ``synth`` row sizes the pair written by :func:`emit_synthetic_pair`
+SCENARIO_DEFAULTS = {
+    "noise_robustness": dict(n=50, m=50, fw_iters=10, epsilon=0.02, sinkhorn_t_max=5000),
+    # the comparison sweeps let Frank-Wolfe converge rather than using the
+    # small fixed budget that suffices for the robustness runs
+    "solver_comparison": dict(n=20, m=20, fw_iters=50, epsilon=0.1, sinkhorn_t_max=5000),
+    "feature_selection": dict(fw_iters=10, epsilon=0.02, sinkhorn_t_max=300),
+    "synth": dict(n=20, m=20),
+}
+
 DEFAULT_ETA_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 DEFAULT_EPSILON_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully seeded description of one experiment run."""
+    """Fully seeded description of one experiment run.
+
+    ``n``, ``m``, ``fw_iters``, ``epsilon`` and ``sinkhorn_t_max`` left at
+    ``None`` take the scenario's ``SCENARIO_DEFAULTS`` row when the run
+    starts (:meth:`resolved`), and the manifest records the values used.
+    Only the solver comparison reads the grids: it sweeps ``eta_grid`` at
+    ``epsilon`` and ``epsilon_grid`` at ``eta``.  Only feature selection
+    reads ``data_path`` through ``n_features``.
+    """
 
     scenario: str
     seed: int = 0
@@ -43,24 +63,17 @@ class ExperimentSpec:
     n: int | None = None
     m: int | None = None
     eta: float = 1.0
-    epsilon: float = 0.02
-    fw_iters: int = 10
+    epsilon: float | None = None
+    fw_iters: int | None = None
     eta_grid: tuple = DEFAULT_ETA_GRID
     epsilon_grid: tuple = DEFAULT_EPSILON_GRID
-    compare_epsilon: float = 0.1
-    # the comparison sweeps let Frank-Wolfe converge rather than using the
-    # small fixed budget that suffices for the robustness runs
-    compare_fw_iters: int = 50
-    sinkhorn_t_max: int = 5000
-    # feature-selection knobs
+    sinkhorn_t_max: int | None = None
     data_path: str | None = None
     label_col: str | None = None
     trials: int = 1
     top_k: int = 2
     n_per_class: int = 60
     n_features: int = 20
-    informative: tuple = (0, 1)
-    shift: float = 5.0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -77,10 +90,17 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
         doc = dict(doc)
-        for key in ("eta_grid", "epsilon_grid", "informative"):
+        for key in ("eta_grid", "epsilon_grid"):
             if key in doc and doc[key] is not None:
                 doc[key] = tuple(doc[key])
         return cls(**doc)
+
+    def resolved(self, row: str | None = None) -> "ExperimentSpec":
+        """This spec with its ``None`` fields filled from
+        ``SCENARIO_DEFAULTS[row]`` (default: the spec's own scenario)."""
+        defaults = SCENARIO_DEFAULTS[row or self.scenario]
+        return replace(self, **{key: value for key, value in defaults.items()
+                                if getattr(self, key) is None})
 
 
 def _write_manifest(out_dir: Path, spec: ExperimentSpec, wall_time: float,
@@ -125,12 +145,11 @@ def run_noise_robustness(spec: ExperimentSpec) -> dict:
     points, and emits all three plans plus the group weights.
     """
     start = time.perf_counter()
+    spec = spec.resolved()
     out_dir = Path(spec.out_dir)
-    n = spec.n if spec.n is not None else 50
-    m = spec.m if spec.m is not None else 50
 
-    src_clean, dst_clean = synth_generate(n, m, spec.seed, include_noise=False)
-    src, dst = synth_generate(n, m, spec.seed)
+    src_clean, dst_clean = synth_generate(spec.n, spec.m, spec.seed, include_noise=False)
+    src, dst = synth_generate(spec.n, spec.m, spec.seed)
 
     sink_cfg = SinkhornConfig(epsilon=spec.epsilon, t_max=spec.sinkhorn_t_max)
     clean_cost = build_grouped_cost(src_clean, dst_clean, "squared_euclidean").total()
@@ -192,23 +211,21 @@ def run_solver_comparison(spec: ExperimentSpec) -> dict:
     entropic epsilon at fixed eta = 1.
     """
     start = time.perf_counter()
+    spec = spec.resolved()
     out_dir = Path(spec.out_dir)
-    n = spec.n if spec.n is not None else 20
-    m = spec.m if spec.m is not None else 20
 
-    src, dst = comparison_instance(n, m, spec.seed)
+    src, dst = comparison_instance(spec.n, spec.m, spec.seed)
     costs = build_grouped_cost(src, dst, "squared_euclidean")
     lp = frot_lp_solve(costs, src.weights, dst.weights)
 
     eta_rows = []
     for eta in spec.eta_grid:
         fw_emd = frot_fw_solve(src, dst, costs,
-                               FrotConfig(eta=eta, fw_iters=spec.compare_fw_iters))
+                               FrotConfig(eta=eta, fw_iters=spec.fw_iters))
         fw_sink = frot_fw_solve(
             src, dst, costs,
-            FrotConfig(eta=eta, fw_iters=spec.compare_fw_iters, subsolver="sinkhorn",
-                       epsilon=spec.compare_epsilon,
-                       sinkhorn_t_max=spec.sinkhorn_t_max),
+            FrotConfig(eta=eta, fw_iters=spec.fw_iters, subsolver="sinkhorn",
+                       epsilon=spec.epsilon, sinkhorn_t_max=spec.sinkhorn_t_max),
         )
         eta_rows.append({
             "eta": eta,
@@ -225,7 +242,7 @@ def run_solver_comparison(spec: ExperimentSpec) -> dict:
     for eps in spec.epsilon_grid:
         fw_sink = frot_fw_solve(
             src, dst, costs,
-            FrotConfig(eta=spec.eta, fw_iters=spec.compare_fw_iters,
+            FrotConfig(eta=spec.eta, fw_iters=spec.fw_iters,
                        subsolver="sinkhorn", epsilon=eps,
                        sinkhorn_t_max=spec.sinkhorn_t_max),
         )
@@ -295,13 +312,14 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
     trial's rankings and top-K-reduced train/test CSVs are emitted.
     """
     start = time.perf_counter()
+    spec = spec.resolved()
     out_dir = Path(spec.out_dir)
 
     if spec.data_path is not None:
         X_all, labels_all, names, classes = _load_labeled_csv(spec.data_path, spec.label_col)
     else:
-        X_all, labels_all = labeled_synthetic(
-            spec.n_per_class, spec.n_features, spec.informative, spec.shift, spec.seed)
+        X_all, labels_all = labeled_synthetic(spec.n_per_class, spec.n_features,
+                                              seed=spec.seed)
         names = [f"f{i}" for i in range(X_all.shape[1])]
         classes = np.array([0.0, 1.0])
 
@@ -322,7 +340,8 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
             "frot": frot_feature_importance(
                 class1, class2,
                 fw_cfg=FrotConfig(eta=spec.eta, fw_iters=spec.fw_iters,
-                                  subsolver="sinkhorn", epsilon=spec.epsilon)),
+                                  subsolver="sinkhorn", epsilon=spec.epsilon,
+                                  sinkhorn_t_max=spec.sinkhorn_t_max)),
             "wasserstein_sort": baseline_rank(class1, class2, "wasserstein_sort"),
             "linear_correlation": baseline_rank(class1, class2, "linear_correlation"),
         }
@@ -369,11 +388,11 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
 
 
 def emit_synthetic_pair(spec: ExperimentSpec) -> dict:
-    """Generate the synthetic pair and write both measures as CSV."""
+    """Generate the synthetic pair, sized by the spec or the ``synth`` row
+    of ``SCENARIO_DEFAULTS``, and write both measures as CSV."""
+    spec = spec.resolved("synth")
     out_dir = Path(spec.out_dir)
-    n = spec.n if spec.n is not None else 20
-    m = spec.m if spec.m is not None else 20
-    src, dst = synth_generate(n, m, spec.seed)
+    src, dst = synth_generate(spec.n, spec.m, spec.seed)
     save_measure_csv(src, out_dir / "source.csv")
     save_measure_csv(dst, out_dir / "target.csv")
     # round-trip guard: the emitted files must reload to the same measures
@@ -381,4 +400,4 @@ def emit_synthetic_pair(spec: ExperimentSpec) -> dict:
     if not np.array_equal(reloaded.points, src.points):
         raise AssertionError("synthetic measure did not round-trip losslessly")
     return {"source": str(out_dir / "source.csv"), "target": str(out_dir / "target.csv"),
-            "n": n, "m": m}
+            "n": spec.n, "m": spec.m}

@@ -177,14 +177,6 @@ class GroupedCost:
             raise ValueError("cosine_normalized costs must lie in [0, 4]")
         object.__setattr__(self, "matrices", _frozen(mats))
 
-    @property
-    def n_groups(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def shape(self) -> tuple:
-        return self.matrices.shape[1], self.matrices.shape[2]
-
     def total(self) -> np.ndarray:
         """Sum of the per-group matrices."""
         return self.matrices.sum(axis=0)
@@ -275,14 +267,6 @@ class TransportPlan:
         )
         return cls(_frozen(mat), float(residual))
 
-    @property
-    def shape(self) -> tuple:
-        return self.matrix.shape
-
-    def cost(self, C) -> float:
-        """Transport cost <plan, C>."""
-        return float(np.sum(self.matrix * np.asarray(C)))
-
 
 # ---------------------------------------------------------------------------
 # Artifact I/O: every CSV and JSON file is read and written here, in one
@@ -332,14 +316,20 @@ def read_csv(path):
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty CSV")
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    widths = {len(row) for row in rows}
+    widths = {len(row) for _, row in rows}
     if widths != {len(header)}:
         raise ValueError(f"{path}: rows of {sorted(widths)} values under a "
                          f"{len(header)}-name header")
-    return header, np.array([[float(v) for v in row] for row in rows])
+    data = []
+    for line, row in rows:
+        try:
+            data.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+    return header, np.array(data)
 
 
 def write_plan_csv(path, matrix) -> None:

@@ -320,32 +320,17 @@ class MaxminResult:
     tie: bool
 
 
-def maxmin_frot(
-    src: GroupedMeasure,
-    dst: GroupedMeasure,
-    costs,
-    per_group_solver="exact_emd",
-) -> MaxminResult:
+def maxmin_frot(src: GroupedMeasure, dst: GroupedMeasure, costs) -> MaxminResult:
     """Max-min variant: pick the single group with the largest OT cost.
 
-    Solves the per-group OT problem for every group and returns the argmax
-    group, the corresponding one-hot weight vector, and all per-group
-    distances.  Ties go to the lowest group index and are flagged.
-
-    ``per_group_solver`` is ``"exact_emd"`` or a callable
-    ``(a, b, C) -> float``, for example an entropic cost from
-    ``sinkhorn_solve``.
+    Solves the exact per-group OT problem for every group and returns the
+    argmax group, the corresponding one-hot weight vector, and all
+    per-group distances.  Ties go to the lowest group index and are
+    flagged.
     """
     stack = _cost_stack(costs)
     a, b = src.weights, dst.weights
-    distances = np.empty(stack.shape[0])
-    for k in range(stack.shape[0]):
-        if callable(per_group_solver):
-            distances[k] = float(per_group_solver(a, b, stack[k]))
-        elif per_group_solver == "exact_emd":
-            distances[k] = emd_exact_solve(a, b, stack[k]).objective
-        else:
-            raise ValueError(f"unknown per_group_solver {per_group_solver!r}")
+    distances = np.array([emd_exact_solve(a, b, C).objective for C in stack])
     best = int(np.argmax(distances))
     alpha = np.zeros(stack.shape[0])
     alpha[best] = 1.0

@@ -21,6 +21,12 @@ TARGET_MEAN = np.array([5.0, 0.0])
 #: eigenvalues clipped to zero) -- see EFFECTIVE_COV
 RAW_COV = np.array([[5.0, 4.0], [1.0, 1.0]])
 
+#: width of the standard-normal noise group of :func:`synth_generate`
+NOISE_DIMS = 8
+
+#: separation of the two clusters in group 0 of :func:`comparison_instance`
+COMPARISON_SHIFT = 2.5
+
 
 def _psd_projection(matrix: np.ndarray) -> np.ndarray:
     sym = (matrix + matrix.T) / 2.0
@@ -38,14 +44,13 @@ def _sample_gaussian(rng: np.random.Generator, mean, cov, size: int) -> np.ndarr
     return mean + z @ factor.T
 
 
-def synth_generate(n: int, m: int, seed: int = 0, noise_dims: int = 8,
-                   include_noise: bool = True):
+def synth_generate(n: int, m: int, seed: int = 0, *, include_noise: bool = True):
     """Generate the two-cluster synthetic pair of grouped measures.
 
     Source points are drawn around (-5, 0) and target points around
     (5, 0) with a shared 2-D covariance; with ``include_noise`` each point
-    gains ``noise_dims`` standard-normal coordinates, grouped separately
-    from the informative pair (group widths (2, noise_dims)).  Without
+    gains ``NOISE_DIMS`` standard-normal coordinates, grouped separately
+    from the informative pair (group widths (2, NOISE_DIMS)).  Without
     noise the measures are 2-D with a single group.
 
     Returns ``(src, dst)`` :class:`GroupedMeasure` objects with uniform
@@ -53,8 +58,6 @@ def synth_generate(n: int, m: int, seed: int = 0, noise_dims: int = 8,
     """
     if n < 1 or m < 1:
         raise ValueError("sample counts must be positive")
-    if noise_dims < 1 and include_noise:
-        raise ValueError("noise_dims must be positive when noise is included")
 
     streams = np.random.SeedSequence(seed).spawn(4)
     rng_src = np.random.default_rng(streams[0])
@@ -67,24 +70,24 @@ def synth_generate(n: int, m: int, seed: int = 0, noise_dims: int = 8,
 
     rng_src_noise = np.random.default_rng(streams[2])
     rng_dst_noise = np.random.default_rng(streams[3])
-    zx = rng_src_noise.standard_normal((n, noise_dims))
-    zy = rng_dst_noise.standard_normal((m, noise_dims))
-    widths = [2, noise_dims]
+    zx = rng_src_noise.standard_normal((n, NOISE_DIMS))
+    zy = rng_dst_noise.standard_normal((m, NOISE_DIMS))
+    widths = [2, NOISE_DIMS]
     return (
         build_grouped_measure(np.hstack([x, zx]), widths),
         build_grouped_measure(np.hstack([y, zy]), widths),
     )
 
 
-def comparison_instance(n: int = 20, m: int = 20, seed: int = 1, shift: float = 2.5):
+def comparison_instance(n: int = 20, m: int = 20, seed: int = 1):
     """Fixed two-group instance for comparing the exact and smoothed solvers.
 
-    Group 0 separates the clusters by ``shift`` along its first coordinate;
-    group 1 is pure noise.  The max in the exact min-max then sits on
-    group 0 with a moderate margin over group 1, so light smoothing
-    reproduces the exact plan while heavy smoothing visibly mixes the
-    groups, which is exactly the regime the solver-comparison sweeps
-    probe.
+    Group 0 separates the clusters by ``COMPARISON_SHIFT`` along its first
+    coordinate; group 1 is pure noise.  The max in the exact min-max then
+    sits on group 0 with a moderate margin over group 1, so light
+    smoothing reproduces the exact plan while heavy smoothing visibly
+    mixes the groups, which is exactly the regime the solver-comparison
+    sweeps probe.
 
     Returns ``(src, dst)`` with group widths (2, 2) and uniform weights.
     """
@@ -95,9 +98,9 @@ def comparison_instance(n: int = 20, m: int = 20, seed: int = 1, shift: float = 
     rng_dst = np.random.default_rng(streams[1])
 
     x1 = rng_src.standard_normal((n, 2))
-    x1[:, 0] -= shift / 2.0
+    x1[:, 0] -= COMPARISON_SHIFT / 2.0
     y1 = rng_dst.standard_normal((m, 2))
-    y1[:, 0] += shift / 2.0
+    y1[:, 0] += COMPARISON_SHIFT / 2.0
     x2 = rng_src.standard_normal((n, 2))
     y2 = rng_dst.standard_normal((m, 2))
 

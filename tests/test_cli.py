@@ -179,3 +179,33 @@ def test_select_features_on_empty_csv_is_exit_code_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "empty CSV" in capsys.readouterr().err
+
+
+def test_non_numeric_cell_error_names_file_and_line(measure_files, tmp_path, capsys):
+    _, dst = measure_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text("g0_0,weight\n1.0,0.5\n3.0,\n")
+    code = main(["emd", "--source", str(bad), "--target", str(dst),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{bad}, line 3:" in err
+    assert "could not convert string to float" in err
+
+
+def test_experiment_flags_change_the_solver_comparison(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"n": 6, "m": 6, "sinkhorn_t_max": 200,
+                                  "eta_grid": [1.0], "epsilon_grid": [0.1]}))
+
+    def summary(name, *flags):
+        out = tmp_path / name
+        assert main(["experiment", "--scenario", "solver_comparison", *flags,
+                     "--config", str(config), "--out", str(out)]) == 0
+        return json.loads((out / "summary.json").read_text())
+
+    iters3 = summary("i3", "--iters", "3")
+    assert summary("i5", "--iters", "5") != iters3
+    assert summary("i3e", "--iters", "3", "--epsilon", "0.5") != iters3
+    manifest = json.loads((tmp_path / "i3e" / "manifest.json").read_text())
+    assert (manifest["spec"]["fw_iters"], manifest["spec"]["epsilon"]) == (3, 0.5)

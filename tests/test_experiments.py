@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from frot import load_measure_csv
+from frot import experiments, load_measure_csv
 from frot.experiments import (
+    SCENARIO_DEFAULTS,
+    SCENARIOS,
     ExperimentSpec,
     emit_synthetic_pair,
     run_experiment,
@@ -34,6 +36,42 @@ def test_spec_validation():
     spec = ExperimentSpec.from_dict(
         {"scenario": "solver_comparison", "eta_grid": [0.1, 1.0]})
     assert spec.eta_grid == (0.1, 1.0)
+
+
+# small runs of each scenario; the settings under test are left to the case
+_SMALL_RUNS = {
+    "noise_robustness": dict(n=8, m=8),
+    "solver_comparison": dict(n=6, m=6, eta_grid=(1.0,), epsilon_grid=(0.1,)),
+    "feature_selection": dict(n_per_class=12, n_features=4),
+}
+
+
+@pytest.mark.parametrize("given", [
+    {},
+    {"fw_iters": 3, "epsilon": 0.5, "sinkhorn_t_max": 150},
+], ids=["scenario defaults", "given values"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_manifest_records_the_settings_the_run_used(tmp_path, monkeypatch,
+                                                    scenario, given):
+    real_config = experiments.FrotConfig
+    configs = []
+
+    def recording(**kwargs):
+        configs.append(real_config(**kwargs))
+        return configs[-1]
+
+    monkeypatch.setattr(experiments, "FrotConfig", recording)
+    run_experiment(ExperimentSpec(scenario=scenario, out_dir=str(tmp_path),
+                                  **_SMALL_RUNS[scenario], **given))
+    spec = _read_manifest(tmp_path)["spec"]
+    expected = {**SCENARIO_DEFAULTS[scenario], **_SMALL_RUNS[scenario], **given}
+    for key in ("fw_iters", "epsilon", "sinkhorn_t_max"):
+        assert spec[key] == expected[key]
+    entropic = [cfg for cfg in configs if cfg.subsolver == "sinkhorn"]
+    assert {cfg.fw_iters for cfg in configs} == {spec["fw_iters"]}
+    assert {cfg.sinkhorn_t_max for cfg in entropic} == {spec["sinkhorn_t_max"]}
+    # the first entropic run is never the solver comparison's epsilon sweep
+    assert entropic[0].epsilon == spec["epsilon"]
 
 
 def test_noise_robustness_artifacts(tmp_path):
@@ -83,7 +121,7 @@ def test_solver_comparison_artifacts(tmp_path):
     spec = ExperimentSpec(scenario="solver_comparison", seed=1, n=10, m=10,
                           out_dir=str(tmp_path / "cmp"),
                           eta_grid=(0.05, 2.0), epsilon_grid=(0.1, 0.05),
-                          compare_fw_iters=30, sinkhorn_t_max=2000)
+                          fw_iters=30, sinkhorn_t_max=2000)
     summary = run_solver_comparison(spec)
     out = tmp_path / "cmp"
     rows = summary["eta_sweep"]
@@ -106,7 +144,7 @@ def test_solver_comparison_artifacts(tmp_path):
 def test_feature_selection_run(tmp_path):
     spec = ExperimentSpec(scenario="feature_selection", seed=0,
                           out_dir=str(tmp_path / "fs"), trials=3, top_k=2,
-                          n_per_class=24, n_features=8, informative=(0, 1))
+                          n_per_class=24, n_features=8)
     summary = run_feature_selection(spec)
     out = tmp_path / "fs"
     assert len(summary["trials"]) == 3

@@ -402,18 +402,13 @@ def test_maxmin_tie_reported_lowest_index():
     assert res.tie
 
 
-def test_maxmin_accepts_callable_solver():
+def test_maxmin_solves_one_exact_ot_per_group(monkeypatch):
     rng = np.random.default_rng(22)
     src, dst = random_grouped_pair(rng, 3, 3, [1, 1])
     costs = build_grouped_cost(src, dst, "squared_euclidean")
-    calls = []
-
-    def fake(a, b, C):
-        calls.append(C.shape)
-        return float(C.sum())
-
-    res = maxmin_frot(src, dst, costs, per_group_solver=fake)
-    assert len(calls) == 2
+    calls = _count_lp_calls(monkeypatch)
+    res = maxmin_frot(src, dst, costs)
+    assert calls == [(3, 3), (3, 3)]
     assert res.distances[res.group_index] == max(res.distances)
 
 

@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -193,7 +194,10 @@ def _add_pair_inputs(parser: argparse.ArgumentParser) -> None:
                         help="cost kind for the group matrices")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a fresh
+    namespace on every call, and nothing changes the parser once built."""
     parser = argparse.ArgumentParser(
         prog="frot",
         description="Feature-robust optimal transport toolkit",

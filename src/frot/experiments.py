@@ -364,8 +364,9 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
                     "importances": ranking.importances.tolist(),
                     "order": ranking.order.tolist(),
                     "config": {"eta": spec.eta, "fw_iters": spec.fw_iters,
-                               "epsilon": spec.epsilon, "top_k": spec.top_k,
-                               "standardized": True},
+                               "epsilon": spec.epsilon,
+                               "sinkhorn_t_max": spec.sinkhorn_t_max,
+                               "top_k": spec.top_k, "standardized": True},
                 })
             selected = entry["frot"]["top_k"]
             header = [names[i] for i in selected] + ["label"]

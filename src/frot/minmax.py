@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from .measures import GroupedCost, GroupedMeasure, TransportPlan, _check_cost_stack
 from .solvers import (
@@ -55,15 +54,30 @@ def group_costs(plan, costs) -> np.ndarray:
     P = _plan_matrix(plan)
     if P.shape != stack.shape[1:]:
         raise ValueError(f"plan shape {P.shape} does not match costs {stack.shape[1:]}")
-    return np.tensordot(stack, P, axes=([1, 2], [0, 1]))
+    return stack.reshape(len(stack), -1) @ P.ravel()
 
 
 def _smoothed_max(phi: np.ndarray, eta: float):
     """The soft maximum eta * log sum exp(phi/eta) of the group costs phi
-    and its maximizing weights softmax(phi/eta), both max-shifted."""
+    and its maximizing weights softmax(phi/eta).
+
+    Both use the max shift of Blanchard, Higham & Higham (2021), as
+    ``scipy.special.logsumexp`` and ``softmax`` do, with the same
+    operations in the same order, so the results agree bit for bit; the
+    entries equal to the max are split out of the log-sum-exp's sum.  On a
+    vector of a few group costs scipy's array-API dispatch costs more than
+    the arithmetic.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return float(eta * logsumexp(phi / eta)), softmax(phi / eta)
+    z = phi / eta
+    mx = z.max()
+    shifted = np.exp(z - mx)
+    top = z == mx
+    count = top.sum(dtype=float)
+    rest = np.where(top, 0.0, shifted).sum() / count
+    objective = float(eta * (np.log1p(rest) + np.log(count) + mx))
+    return objective, shifted / shifted.sum()
 
 
 def smoothed_max_objective(plan, costs, eta: float) -> float:
@@ -87,7 +101,8 @@ def alpha_weights(plan, costs, eta: float) -> np.ndarray:
 def frot_gradient(plan, costs, eta: float) -> np.ndarray:
     """Gradient of the smoothed objective in the plan: sum_k alpha_k C_k."""
     alpha = alpha_weights(plan, costs, eta)
-    return np.tensordot(alpha, _cost_stack(costs), axes=1)
+    stack = _cost_stack(costs)
+    return (alpha @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,8 @@ class FrotConfig:
     default residual tolerance (inexact; the inexactness is surfaced in the
     solution metadata).  On the 50x50 synthetic pairs (2 groups) with 10
     iterations, a solve including the cost build takes a median of about
-    3.4 ms exact and 21 ms entropic at epsilon = 0.02 (2-vCPU container).
+    1.9 ms exact and 17 ms entropic at epsilon = 0.02 (2-vCPU container,
+    one BLAS thread).
     The iteration starts from the product coupling a b', and each entropic
     subproblem is warm-started from the previous one's column potential.
     """
@@ -208,6 +224,9 @@ def frot_fw_solve(
         point and ``objective_trace[0]``.
     """
     stack = _cost_stack(costs)
+    # the stack as L rows of length n*m: each stack product below is then
+    # the one dot call np.tensordot would make, without its per-call set-up
+    flat = stack.reshape(len(stack), -1)
     a, b = src.weights, dst.weights
     if stack.shape[1:] != (a.size, b.size):
         raise ValueError(
@@ -233,13 +252,13 @@ def frot_fw_solve(
     max_residual = 0.0
 
     for t in range(cfg.fw_iters + 1):
-        phi = np.tensordot(stack, P, axes=([1, 2], [0, 1]))
+        phi = flat @ P.ravel()
         objective, alpha = _smoothed_max(phi, cfg.eta)
         objective_trace.append(objective)
         if t == cfg.fw_iters:
             break
 
-        M = np.tensordot(alpha, stack, axes=1)
+        M = (alpha @ flat).reshape(P.shape)
         if cfg.subsolver == "exact_emd":
             P_hat = assignment_plan(a, b, M)
             if P_hat is None:

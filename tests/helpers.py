@@ -150,3 +150,56 @@ def per_sweep_sinkhorn_oracle(a, b, C, eps, t_max, tol, init_g=None):
                 converged = True
                 break
     return u[:, None] * K * v[None, :], iterations, converged
+
+
+def reference_fw_solve(src, dst, costs, cfg):
+    """The Frank-Wolfe loop written with ``np.tensordot`` and scipy's
+    log-sum-exp and softmax, kept as a reference for the matrix-vector
+    products and inline smoothed max of ``frot.minmax.frot_fw_solve``.
+    Starts from a b'; returns a ``FrotSolution``."""
+    from scipy.special import logsumexp, softmax
+
+    from frot.measures import TransportPlan
+    from frot.minmax import FrotSolution, _cost_stack, round_to_polytope
+    from frot.solvers import (SinkhornConfig, assignment_plan, emd_exact_solve,
+                              sinkhorn_solve)
+
+    stack = _cost_stack(costs)
+    a, b = src.weights, dst.weights
+    P = np.outer(a, b)
+    sub_cfg = SinkhornConfig(epsilon=cfg.epsilon, t_max=cfg.sinkhorn_t_max)
+    init_g = None
+    objective_trace, gap_trace = [], []
+    converged_all, max_residual = True, 0.0
+    for t in range(cfg.fw_iters + 1):
+        phi = np.tensordot(stack, P, axes=([1, 2], [0, 1]))
+        objective_trace.append(float(cfg.eta * logsumexp(phi / cfg.eta)))
+        alpha = softmax(phi / cfg.eta)
+        if t == cfg.fw_iters:
+            break
+        M = np.tensordot(alpha, stack, axes=1)
+        if cfg.subsolver == "exact_emd":
+            P_hat = assignment_plan(a, b, M)
+            if P_hat is None:
+                P_hat = emd_exact_solve(a, b, M).plan.matrix
+        else:
+            result = sinkhorn_solve(a, b, M, sub_cfg, init_g=init_g)
+            P_hat = round_to_polytope(result.plan.matrix, a, b)
+            init_g = result.potentials[1]
+            converged_all = converged_all and result.converged
+            max_residual = max(max_residual, float(result.plan.marginal_residual))
+        gap_trace.append(float(np.sum((P - P_hat) * M)))
+        gamma = 2.0 / (2.0 + t)
+        P = (1.0 - gamma) * P + gamma * P_hat
+    return FrotSolution(
+        plan=TransportPlan.from_matrix(P, a, b),
+        alpha=alpha,
+        objective_trace=np.asarray(objective_trace),
+        fw_gap_trace=np.asarray(gap_trace),
+        metadata={
+            "iterations": cfg.fw_iters,
+            "subsolver_converged_all": bool(converged_all),
+            "max_subsolver_residual": max_residual,
+            "max_group_cost": float(phi.max()),
+        },
+    )

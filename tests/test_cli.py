@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from frot import build_grouped_measure, save_measure_csv, save_measure_json
-from frot.cli import main
+from frot.cli import build_parser, main
 from frot.measures import read_plan_csv
 from frot.solvers import SolverFailure
 
@@ -209,3 +209,26 @@ def test_experiment_flags_change_the_solver_comparison(tmp_path):
     assert summary("i3e", "--iters", "3", "--epsilon", "0.5") != iters3
     manifest = json.loads((tmp_path / "i3e" / "manifest.json").read_text())
     assert (manifest["spec"]["fw_iters"], manifest["spec"]["epsilon"]) == (3, 0.5)
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(measure_files, tmp_path):
+    assert build_parser() is build_parser()
+    src, dst = measure_files
+    pair = ["--source", str(src), "--target", str(dst)]
+    assert main(["frot", *pair, "--solver", "lp", "--out", str(tmp_path / "lp")]) == 0
+    assert main(["frot", *pair, "--out", str(tmp_path / "fw")]) == 0
+    doc = json.loads((tmp_path / "fw" / "result.json").read_text())
+    assert doc["solver"] == "fw-exact_emd"
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"eta_grid": [1.0], "epsilon_grid": [0.1]}))
+    assert main(["experiment", "--scenario", "solver_comparison", "--n", "6", "--m", "6",
+                 "--iters", "7", "--trials", "2", "--config", str(config),
+                 "--out", str(tmp_path / "exp")]) == 0
+    config.write_text(json.dumps({"n_per_class": 12, "n_features": 4}))
+    assert main(["select-features", "--config", str(config),
+                 "--out", str(tmp_path / "fs")]) == 0
+    spec = json.loads((tmp_path / "fs" / "manifest.json").read_text())["spec"]
+    # select-features takes no --n or --m; the feature-selection defaults apply
+    assert (spec["n"], spec["m"], spec["trials"]) == (None, None, 1)
+    assert (spec["fw_iters"], spec["epsilon"], spec["sinkhorn_t_max"]) == (10, 0.02, 300)

@@ -163,6 +163,19 @@ def test_feature_selection_run(tmp_path):
     assert n_train + n_test == n_total
 
 
+def test_ranking_config_records_the_sinkhorn_budget(tmp_path):
+    def config(t_max):
+        out = tmp_path / f"t{t_max}"
+        run_feature_selection(ExperimentSpec(
+            scenario="feature_selection", out_dir=str(out), trials=1,
+            sinkhorn_t_max=t_max, **_SMALL_RUNS["feature_selection"]))
+        return json.loads((out / "ranking_frot.json").read_text())["config"]
+
+    few, many = config(5), config(400)
+    assert (few["sinkhorn_t_max"], many["sinkhorn_t_max"]) == (5, 400)
+    assert few != many
+
+
 def test_feature_selection_from_csv(tmp_path):
     rng = np.random.default_rng(0)
     rows = ["a,b,c,label"]

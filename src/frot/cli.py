@@ -111,17 +111,15 @@ def cmd_frot(args) -> int:
 def cmd_frwd(args) -> int:
     src = _load_measure(args.source)
     dst = _load_measure(args.target)
-    result = frwd_distance(src, dst, distance_kind=args.distance, p=args.p,
-                           method=args.method)
+    result = frwd_distance(src, dst, distance_kind=args.distance, p=args.p)
     out = Path(args.out)
     write_plan_csv(out / "plan.csv", result.plan.matrix)
     write_json(out / "result.json", {
         "value": result.value,
         "order": result.order,
         "alpha": result.alpha.tolist(),
-        "method": args.method,
     })
-    print(f"frwd (p={args.p}, {args.method}): {result.value:.6g}")
+    print(f"frwd (p={args.p}): {result.value:.6g}")
     return EXIT_OK
 
 
@@ -226,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--p", type=float, default=2.0, help="distance order")
     p.add_argument("--distance", choices=("euclidean", "l1"), default="euclidean")
-    p.add_argument("--method", choices=("lp", "fw"), default="lp")
     _add_shared(p)
     p.set_defaults(func=cmd_frwd)
 

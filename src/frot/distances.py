@@ -15,13 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import GroupedMeasure, TransportPlan, _pairwise_cost, build_grouped_cost
-from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, group_costs
+from .minmax import frot_fw_solve  # noqa: F401 -- bench/tracing.py hooks this name
+from .minmax import frot_lp_solve, group_costs
 from .solvers import emd_exact_solve
 
 GROUND_METRICS = ("euclidean", "l1")
-
-#: the decreasing smoothing strengths of ``frwd_distance(method="fw")``
-FW_ETA_SCHEDULE = (1.0, 0.1, 0.01)
 
 
 def _check_ground_metric(kind: str) -> None:
@@ -50,9 +48,8 @@ def wasserstein_p(src: GroupedMeasure, dst: GroupedMeasure,
 class FrwdResult:
     """A feature-robust Wasserstein distance evaluation.
 
-    ``alpha`` is the reporting weight vector: for the exact path, uniform
-    over the groups attaining the max cost at the optimal plan; for the
-    smoothed path, the closed-form softmax at the final plan.
+    ``alpha`` is the reporting weight vector: uniform over the groups
+    attaining the max cost at the optimal plan.
     """
 
     value: float
@@ -67,19 +64,17 @@ def frwd_distance(
     distance_kind: str = "euclidean",
     p: float = 2.0,
     method: str = "lp",
-    fw_iters: int = 50,
 ) -> FrwdResult:
     """Feature-robust p-Wasserstein distance between grouped measures.
 
     Builds per-group costs d(x^(k), y^(k))^p from a true ground metric,
-    solves the min-max transport problem, and returns the p-th root of the
-    optimum.  ``method="lp"`` uses the exact epigraph LP (the path used by
-    the metric-axiom tests); ``method="fw"`` runs Frank-Wolfe with exact
-    subproblems at each eta of ``FW_ETA_SCHEDULE`` in turn, and evaluates
-    the unsmoothed max at the final plan.  Each stage starts from the last
-    stage's plan, but its first step has size 1, so that plan sets only the
-    stage's first linearization point.
+    solves the min-max transport problem exactly by the epigraph LP, and
+    returns the p-th root of the optimum.  ``method="lp"`` is the only
+    method.  The LP is limited to ``minmax.LP_MAX_VARIABLES`` plan
+    variables (n * m <= 40 000, 200x200); larger pairs raise ``ValueError``.
     """
+    if method != "lp":
+        raise ValueError("method must be 'lp'")
     if p < 1:
         raise ValueError("order p must be at least 1")
     if not src.same_group_structure(dst):
@@ -87,27 +82,14 @@ def frwd_distance(
     _check_ground_metric(distance_kind)
     stack = build_grouped_cost(src, dst, distance_kind).matrices ** p
 
-    if method == "lp":
-        res = frot_lp_solve(stack, src.weights, dst.weights)
-        plan = res.plan
-        phi = group_costs(plan, stack)
-        active = phi >= phi.max() - 1e-9 * max(phi.max(), 1.0)
-        value_p, alpha = res.objective, active / active.sum()
-    elif method == "fw":
-        plan_matrix = None
-        for eta in FW_ETA_SCHEDULE:
-            cfg = FrotConfig(eta=eta, fw_iters=fw_iters)
-            sol = frot_fw_solve(src, dst, stack, cfg, init_matrix=plan_matrix)
-            plan_matrix = sol.plan.matrix
-        plan, value_p, alpha = sol.plan, sol.max_group_cost, sol.alpha
-    else:
-        raise ValueError("method must be 'lp' or 'fw'")
-
+    res = frot_lp_solve(stack, src.weights, dst.weights)
+    phi = group_costs(res.plan, stack)
+    active = phi >= phi.max() - 1e-9 * max(phi.max(), 1.0)
     return FrwdResult(
-        value=float(max(value_p, 0.0) ** (1.0 / p)),
+        value=float(max(res.objective, 0.0) ** (1.0 / p)),
         order=float(p),
-        plan=plan,
-        alpha=alpha,
+        plan=res.plan,
+        alpha=active / active.sum(),
     )
 
 

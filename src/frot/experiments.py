@@ -41,6 +41,16 @@ SCENARIO_DEFAULTS = {
     "synth": dict(n=20, m=20),
 }
 
+#: the spec fields each scenario's runner reads; its manifest records these
+#: plus ``scenario``, ``seed`` and ``out_dir``
+SCENARIO_FIELDS = {
+    "noise_robustness": ("n", "m", "eta", "epsilon", "fw_iters", "sinkhorn_t_max"),
+    "solver_comparison": ("n", "m", "eta", "epsilon", "fw_iters", "eta_grid",
+                          "epsilon_grid", "sinkhorn_t_max"),
+    "feature_selection": ("eta", "epsilon", "fw_iters", "sinkhorn_t_max", "data_path",
+                          "label_col", "trials", "top_k", "n_per_class", "n_features"),
+}
+
 DEFAULT_ETA_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
 DEFAULT_EPSILON_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
 
@@ -53,8 +63,8 @@ class ExperimentSpec:
     ``None`` take the scenario's ``SCENARIO_DEFAULTS`` row when the run
     starts (:meth:`resolved`), and the manifest records the values used.
     Only the solver comparison reads the grids: it sweeps ``eta_grid`` at
-    ``epsilon`` and ``epsilon_grid`` at ``eta``.  Only feature selection
-    reads ``data_path`` through ``n_features``.
+    ``epsilon`` and ``epsilon_grid`` at ``eta``.  ``SCENARIO_FIELDS``
+    names the fields each scenario reads.
     """
 
     scenario: str
@@ -105,10 +115,11 @@ class ExperimentSpec:
 
 def _write_manifest(out_dir: Path, spec: ExperimentSpec, wall_time: float,
                     outputs, notes=None) -> None:
+    recorded = {"scenario", "seed", "out_dir", *SCENARIO_FIELDS[spec.scenario]}
     write_json(out_dir / "manifest.json", {
         "scenario": spec.scenario,
         "seed": spec.seed,
-        "spec": asdict(spec),
+        "spec": {key: value for key, value in asdict(spec).items() if key in recorded},
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,

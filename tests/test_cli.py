@@ -160,6 +160,7 @@ def test_argparse_validation_is_exit_code_2():
 @pytest.mark.parametrize("argv", [
     ["emd", "--eta", "1"],
     ["frwd", "--iters", "5"],
+    ["frwd", "--method", "lp"],
     ["sinkhorn", "--seed", "1"],
     ["frot", "--config", "cfg.json"],
     ["synth", "--epsilon", "0.1"],
@@ -230,5 +231,18 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(measure_files, tm
                  "--out", str(tmp_path / "fs")]) == 0
     spec = json.loads((tmp_path / "fs" / "manifest.json").read_text())["spec"]
     # select-features takes no --n or --m; the feature-selection defaults apply
-    assert (spec["n"], spec["m"], spec["trials"]) == (None, None, 1)
+    assert "n" not in spec and "m" not in spec and spec["trials"] == 1
     assert (spec["fw_iters"], spec["epsilon"], spec["sinkhorn_t_max"]) == (10, 0.02, 300)
+
+
+def test_readme_command_lines_parse():
+    # every `frot ...` line of the "Command line" block, continuations
+    # joined and the `...` placeholders as dummy paths; parsed, not run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [["measure.csv" if token == "..." else token for token in line.split()[1:]]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("frot ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert build_parser().parse_args(argv).command == argv[0]

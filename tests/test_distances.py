@@ -133,13 +133,20 @@ def test_frwd_dominates_per_group_wasserstein():
             assert robust >= per_group - 1e-9
 
 
-def test_frwd_fw_path_close_to_lp_path():
+def test_frwd_has_only_the_lp_method():
     rng = np.random.default_rng(8)
     src, dst = random_grouped_pair(rng, 6, 6, [1, 2])
-    exact = frwd_distance(src, dst, p=2, method="lp")
-    approx = frwd_distance(src, dst, p=2, method="fw", fw_iters=100)
-    assert approx.value == pytest.approx(exact.value, rel=0.02)
-    assert abs(approx.alpha.sum() - 1.0) < 1e-9
+    assert frwd_distance(src, dst, p=2, method="lp").value > 0
+    with pytest.raises(ValueError, match="method"):
+        frwd_distance(src, dst, p=2, method="fw")
+
+
+def test_frwd_past_the_lp_size_limit_raises():
+    # 201 x 201 = 40 401 plan variables; the guard fires before the LP is built
+    rng = np.random.default_rng(11)
+    src, dst = random_grouped_pair(rng, 201, 201, [1, 1])
+    with pytest.raises(ValueError, match="limited to 40000 plan variables"):
+        frwd_distance(src, dst, p=1)
 
 
 def test_frwd_alpha_is_simplex_vector():

@@ -7,6 +7,7 @@ import pytest
 from frot import experiments, load_measure_csv
 from frot.experiments import (
     SCENARIO_DEFAULTS,
+    SCENARIO_FIELDS,
     SCENARIOS,
     ExperimentSpec,
     emit_synthetic_pair,
@@ -64,6 +65,11 @@ def test_manifest_records_the_settings_the_run_used(tmp_path, monkeypatch,
     run_experiment(ExperimentSpec(scenario=scenario, out_dir=str(tmp_path),
                                   **_SMALL_RUNS[scenario], **given))
     spec = _read_manifest(tmp_path)["spec"]
+    # only the settings the scenario reads, which include every defaulted one
+    assert set(spec) == {"scenario", "seed", "out_dir", *SCENARIO_FIELDS[scenario]}
+    assert set(SCENARIO_DEFAULTS[scenario]) <= set(spec)
+    assert ("eta_grid" in spec) == (scenario == "solver_comparison")
+    assert ("n" in spec) == (scenario != "feature_selection")
     expected = {**SCENARIO_DEFAULTS[scenario], **_SMALL_RUNS[scenario], **given}
     for key in ("fw_iters", "epsilon", "sinkhorn_t_max"):
         assert spec[key] == expected[key]

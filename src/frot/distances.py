@@ -16,7 +16,7 @@ import numpy as np
 
 from .measures import GroupedMeasure, TransportPlan, _pairwise_cost, build_grouped_cost
 from .minmax import frot_fw_solve  # noqa: F401 -- bench/tracing.py hooks this name
-from .minmax import frot_lp_solve, group_costs
+from .minmax import check_lp_size, frot_lp_solve, group_costs
 from .solvers import emd_exact_solve
 
 GROUND_METRICS = ("euclidean", "l1")
@@ -80,6 +80,8 @@ def frwd_distance(
     if not src.same_group_structure(dst):
         raise ValueError("measures must share the group structure")
     _check_ground_metric(distance_kind)
+    # fail before the (L, n, m) cost stack is built for a pair the LP refuses
+    check_lp_size(src.weights.size, dst.weights.size)
     stack = build_grouped_cost(src, dst, distance_kind).matrices ** p
 
     res = frot_lp_solve(stack, src.weights, dst.weights)

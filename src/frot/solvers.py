@@ -393,13 +393,18 @@ def assignment_plan(a, b, C) -> np.ndarray | None:
     which ``linear_sum_assignment`` finds without an LP.  Plan only: callers
     that need the marginal duals, or other weights, use ``emd_exact_solve``.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.size != b.size or np.any(a != a[0]) or np.any(b != a[0]):
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    if a.size != b.size:
+        return None
+    # a Python float compares with an array faster than a numpy scalar does;
+    # a NaN weight equals nothing, so it rules the fast path out
+    w = float(a[0])
+    if not ((a == w).all() and (b == w).all()):
         return None
     rows, cols = linear_sum_assignment(C)
     plan = np.zeros(np.shape(C))
-    plan[rows, cols] = a[0]
+    plan[rows, cols] = w
     return plan
 
 

@@ -149,6 +149,18 @@ def test_frwd_past_the_lp_size_limit_raises():
         frwd_distance(src, dst, p=1)
 
 
+def test_frwd_checks_the_lp_size_limit_before_building_costs(monkeypatch):
+    # a 1000 x 1000 pair would build a 53 MB cost stack only to be refused
+    def unexpected(*args, **kwargs):
+        raise AssertionError("build_grouped_cost called past the LP size limit")
+
+    monkeypatch.setattr("frot.distances.build_grouped_cost", unexpected)
+    rng = np.random.default_rng(12)
+    src, dst = random_grouped_pair(rng, 1000, 1000, [2, 2, 2])
+    with pytest.raises(ValueError, match="limited to 40000 plan variables"):
+        frwd_distance(src, dst, p=2)
+
+
 def test_frwd_alpha_is_simplex_vector():
     rng = np.random.default_rng(9)
     src, dst = random_grouped_pair(rng, 4, 4, [2, 1, 1])

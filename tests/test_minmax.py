@@ -359,6 +359,77 @@ def test_fw_exact_calls_assignment_plan_once_per_iteration(monkeypatch):
     assert calls == [(6, 6)] * 7
 
 
+def _count_calls(monkeypatch, name, solver):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].shape)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(f"frot.minmax.{name}", counting)
+    return calls
+
+
+def test_fw_exact_reuses_the_assignment_of_a_repeated_gradient(monkeypatch):
+    # one group: alpha = [1] and M = C_0 at every iteration
+    calls = _count_calls(monkeypatch, "assignment_plan", assignment_plan)
+    rng = np.random.default_rng(44)
+    src, dst = random_grouped_pair(rng, 6, 6, [2])
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    sol = frot_fw_solve(src, dst, costs, FrotConfig(eta=0.5, fw_iters=6))
+    assert calls == [(6, 6)]
+    assert sol.metadata["iterations"] == 6 and sol.fw_gap_trace.size == 6
+
+
+def test_fw_exact_reuses_the_lp_plan_of_a_repeated_gradient(monkeypatch):
+    calls = _count_lp_calls(monkeypatch)
+    rng = np.random.default_rng(45)
+    src, dst = random_grouped_pair(rng, 6, 7, [2])
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    frot_fw_solve(src, dst, costs, FrotConfig(eta=0.5, fw_iters=6))
+    assert calls == [(6, 7)]
+
+
+@pytest.mark.filterwarnings("ignore:Sinkhorn stopped at t_max:RuntimeWarning")
+def test_fw_entropic_solves_every_subproblem_of_a_repeated_gradient(monkeypatch):
+    # each Sinkhorn call is warm-started from the last one, so an equal
+    # gradient is still a different computation
+    calls = _count_calls(monkeypatch, "sinkhorn_solve", sinkhorn_solve)
+    rng = np.random.default_rng(46)
+    src, dst = random_grouped_pair(rng, 6, 6, [2])
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    frot_fw_solve(src, dst, costs, FrotConfig(eta=0.5, fw_iters=6, subsolver="sinkhorn"))
+    assert calls == [(6, 6)] * 6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fw_exact_reuse_matches_the_reference_loop_bitwise(seed):
+    # the reference loop solves every subproblem; the dominant group makes
+    # the gradient repeat here, so the solver reuses its first plan
+    src, dst = synth_generate(12, 12, seed)
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    cfg = FrotConfig(eta=1.0)
+    got = frot_fw_solve(src, dst, costs, cfg)
+    ref = reference_fw_solve(src, dst, costs, cfg)
+    for field in ("alpha", "objective_trace", "fw_gap_trace"):
+        assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
+    assert got.plan.matrix.tobytes() == ref.plan.matrix.tobytes()
+    assert repr(got.metadata) == repr(ref.metadata)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fw_exact_on_the_synthetic_pairs_makes_one_oracle_call(monkeypatch, seed):
+    # pins the subproblem traffic of the fw_exact benchmark's instances: the
+    # noise group's weight stays below the last bit of the informative
+    # group's costs, so all ten gradients are equal
+    assignments = _count_calls(monkeypatch, "assignment_plan", assignment_plan)
+    lps = _count_lp_calls(monkeypatch)
+    src, dst = synth_generate(50, 50, seed)
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    frot_fw_solve(src, dst, costs, FrotConfig(eta=1.0, fw_iters=10))
+    assert assignments == [(50, 50)] and lps == []
+
+
 def test_frot_config_validation():
     with pytest.raises(ValueError, match="frot_lp_solve"):
         FrotConfig(eta=0.0)

@@ -519,6 +519,39 @@ def test_assignment_plan_declines_other_weights():
     assert assignment_plan(uniform, np.full(4, 0.25), np.ones((3, 4))) is None
 
 
+def _declined_by_the_array_scans(a, b):
+    """The weight check ``assignment_plan`` made with ``np.any`` scans,
+    kept as the reference for which inputs the fast path declines."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    b = np.asarray(b, dtype=float).reshape(-1)
+    return a.size != b.size or np.any(a != a[0]) or np.any(b != a[0])
+
+
+@pytest.mark.parametrize("a, b, declined", [
+    (np.full(3, 1 / 3), np.full(4, 0.25), True),
+    ([0.2, 0.3, 0.5], np.full(3, 1 / 3), True),
+    (np.full(3, 1 / 3), np.full(3, 0.5), True),
+    (np.full(3, 0.5), np.full(3, 1 / 3), True),
+    (np.full(3, np.nan), np.full(3, np.nan), True),
+    ([np.nan], [np.nan], True),
+    ([1 / 3, np.nan, 1 / 3], np.full(3, 1 / 3), True),
+    (np.full(3, 1 / 3), [1 / 3, 1 / 3, np.nan], True),
+    ([1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3], False),
+    (np.full((3, 1), 1 / 3), np.full(3, 1 / 3), False),
+    ([0.0, -0.0], [-0.0, 0.0], False),
+    ([1.0], [1.0], False),
+], ids=["n != m", "non-constant a", "b another constant", "a another constant",
+        "NaN weights", "one NaN weight", "NaN in a", "NaN in b", "lists",
+        "column vector", "signed zeros", "one point"])
+def test_assignment_plan_declines_the_same_weights_as_the_array_scans(a, b, declined):
+    C = np.arange(np.size(a) * np.size(b), dtype=float).reshape(np.size(a), np.size(b))
+    assert _declined_by_the_array_scans(a, b) == declined
+    P = assignment_plan(a, b, C)
+    assert (P is None) == declined
+    if not declined:
+        np.testing.assert_array_equal(P.sum(axis=1), np.ravel(a))
+
+
 # ---------------------------------------------------------------------------
 # sorted 1-D fast path
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Subcommands cover the solver primitives (sinkhorn, emd, frot, frwd), the
 feature-selection pipeline, synthetic data generation, and the seeded
 experiment runners.  Each subcommand accepts only the flags it reads.  For
-the ones that build an experiment spec (select-features, synth,
+the ones that call an experiment runner (select-features, synth,
 experiment), a JSON config file passed with --config overrides any flag it
 names.  Exit codes: 0 success, 2 validation error, 1 solver
 failure.
@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .distances import frwd_distance
-from .experiments import SCENARIOS, ExperimentSpec, emit_synthetic_pair, run_experiment
-from .measures import (build_grouped_cost, load_measure_csv, load_measure_json, write_json,
-                       write_plan_csv)
-from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve
+from . import experiments
+from .experiments import SCENARIOS, emit_synthetic_pair, run_experiment
+from .measures import (TransportPlan, build_grouped_cost, load_measure_csv,
+                       load_measure_json, write_json, write_plan_csv)
+from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
 from .solvers import SinkhornConfig, SolverFailure, emd_exact_solve, sinkhorn_solve
 
 EXIT_OK = 0
@@ -50,18 +51,26 @@ def _load_pair(args):
 def cmd_sinkhorn(args) -> int:
     src, dst, costs = _load_pair(args)
     cfg = SinkhornConfig(epsilon=args.epsilon, t_max=args.iters)
-    result = sinkhorn_solve(src.weights, dst.weights, costs.total(), cfg)
+    C = costs.total()
+    result = sinkhorn_solve(src.weights, dst.weights, C, cfg)
+    # the written plan is rounded onto the marginal polytope, so it is a
+    # coupling even when the solve stopped short; the solve's own residual
+    # is recorded beside the written plan's
+    plan = TransportPlan.from_matrix(
+        round_to_polytope(result.plan.matrix, src.weights, dst.weights),
+        src.weights, dst.weights)
     out = Path(args.out)
-    write_plan_csv(out / "plan.csv", result.plan.matrix)
+    write_plan_csv(out / "plan.csv", plan.matrix)
     write_json(out / "result.json", {
         "objective": result.objective,
-        "transport_cost": result.transport_cost,
+        "transport_cost": float(np.sum(plan.matrix * C)),
         "converged": result.converged,
         "iterations": result.iterations,
-        "marginal_residual": result.plan.marginal_residual,
+        "marginal_residual": plan.marginal_residual,
+        "solve_marginal_residual": result.plan.marginal_residual,
     })
     print(f"sinkhorn: objective {result.objective:.6g}, "
-          f"residual {result.plan.marginal_residual:.3e}, "
+          f"solve residual {result.plan.marginal_residual:.3e}, "
           f"converged {result.converged}")
     return EXIT_OK
 
@@ -124,43 +133,47 @@ def cmd_frwd(args) -> int:
 
 
 def cmd_select_features(args) -> int:
-    spec = _spec_from_args(args, scenario="feature_selection")
-    summary = run_experiment(spec)
-    counts = summary["top_k_counts"]["frot"]
-    ranked = np.argsort(counts)[::-1][: spec.top_k]
-    print(f"select-features: top-{spec.top_k} by robust weights across "
-          f"{spec.trials} trial(s): {sorted(ranked.tolist())}")
+    summary = run_experiment("feature_selection", **_settings_from_args(args))
+    top_k = summary["top_k"]
+    ranked = np.argsort(summary["top_k_counts"]["frot"])[::-1][:top_k]
+    print(f"select-features: top-{top_k} by robust weights across "
+          f"{len(summary['trials'])} trial(s): {sorted(ranked.tolist())}")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    spec = _spec_from_args(args, scenario="noise_robustness")
-    info = emit_synthetic_pair(spec)
+    # filtered by the experiments module's own function, since the name
+    # called below may be a (*args, **kwargs) wrapper around it
+    settings = experiments.settings_read_by(experiments.emit_synthetic_pair,
+                                            _settings_from_args(args))
+    info = emit_synthetic_pair(**settings)
     print(f"synth: wrote {info['source']} and {info['target']} "
           f"({info['n']} x {info['m']} points)")
     return EXIT_OK
 
 
 def cmd_experiment(args) -> int:
-    spec = _spec_from_args(args, scenario=args.scenario)
-    run_experiment(spec)
-    print(f"experiment {spec.scenario}: results in {spec.out_dir}")
+    settings = _settings_from_args(args)
+    run_experiment(args.scenario, **settings)
+    print(f"experiment {args.scenario}: results in {settings['out_dir']}")
     return EXIT_OK
 
 
-def _spec_from_args(args, scenario: str) -> ExperimentSpec:
-    doc = {"scenario": scenario, "seed": args.seed, "out_dir": args.out}
+def _settings_from_args(args) -> dict:
+    """The experiment settings the flags give, then those the --config file
+    names; flags left at ``None`` are left out, so the runner's default
+    applies."""
+    settings = {"seed": args.seed, "out_dir": args.out}
     for attr, key in (("eta", "eta"), ("epsilon", "epsilon"), ("iters", "fw_iters"),
                       ("n", "n"), ("m", "m"), ("trials", "trials"),
                       ("top_k", "top_k"), ("data", "data_path"),
                       ("label_col", "label_col")):
         if getattr(args, attr, None) is not None:
-            doc[key] = getattr(args, attr)
+            settings[key] = getattr(args, attr)
     if args.config:
         with open(args.config) as fh:
-            overrides = json.load(fh)
-        doc.update(overrides)
-    return ExperimentSpec.from_dict(doc)
+            settings.update(json.load(fh))
+    return settings
 
 
 #: flags shared by several subcommands; each subcommand takes only the ones
@@ -175,8 +188,8 @@ _SHARED_FLAGS = {
     "--out": dict(default="results", help="output directory"),
 }
 
-#: what an ExperimentSpec is built from; these subcommands default --epsilon
-#: and --iters to None, so the scenario's value applies
+#: the flags of the subcommands that call an experiment runner; they default
+#: --epsilon and --iters to None, so the runner's default applies
 _SPEC_FLAGS = ("--eta", "--epsilon", "--iters", "--seed", "--config")
 
 

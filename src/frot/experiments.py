@@ -1,19 +1,19 @@
 """Seeded experiment runners and their on-disk result formats.
 
-Every runner writes plot-ready artifacts (plans as dense CSV, traces and
-weights as JSON) plus a manifest recording the configuration the run used
-(scenario defaults filled in), seed, library versions, and wall time.
-Result files are deterministic given the spec.  All of them go through the
-artifact I/O of :mod:`frot.measures`: LF line endings, floats as their
-shortest round-trip repr, a quoted header row, and every file written
-atomically.
+A runner's keyword parameters are its settings and their defaults.  Every
+runner writes plot-ready artifacts (plans as dense CSV, traces and weights
+as JSON) plus a manifest recording the call it ran, defaults included, the
+library versions and the wall time.  Result files are deterministic given
+the settings.  All of them go through the artifact I/O of
+:mod:`frot.measures`: LF line endings, floats as their shortest round-trip
+repr, a quoted header row, and every file written atomically.
 """
 
 from __future__ import annotations
 
+import inspect
 import platform
 import time
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,96 +30,15 @@ from .synthetic import EFFECTIVE_COV, comparison_instance, labeled_synthetic, sy
 
 SCENARIOS = ("noise_robustness", "solver_comparison", "feature_selection")
 
-#: each scenario's values for the spec fields left at ``None``; the
-#: ``synth`` row sizes the pair written by :func:`emit_synthetic_pair`
-SCENARIO_DEFAULTS = {
-    "noise_robustness": dict(n=50, m=50, fw_iters=10, epsilon=0.02, sinkhorn_t_max=5000),
-    # the comparison sweeps let Frank-Wolfe converge rather than using the
-    # small fixed budget that suffices for the robustness runs
-    "solver_comparison": dict(n=20, m=20, fw_iters=50, epsilon=0.1, sinkhorn_t_max=5000),
-    "feature_selection": dict(fw_iters=10, epsilon=0.02, sinkhorn_t_max=300),
-    "synth": dict(n=20, m=20),
-}
 
-#: the spec fields each scenario's runner reads; its manifest records these
-#: plus ``scenario``, ``seed`` and ``out_dir``
-SCENARIO_FIELDS = {
-    "noise_robustness": ("n", "m", "eta", "epsilon", "fw_iters", "sinkhorn_t_max"),
-    "solver_comparison": ("n", "m", "eta", "epsilon", "fw_iters", "eta_grid",
-                          "epsilon_grid", "sinkhorn_t_max"),
-    "feature_selection": ("eta", "epsilon", "fw_iters", "sinkhorn_t_max", "data_path",
-                          "label_col", "trials", "top_k", "n_per_class", "n_features"),
-}
-
-DEFAULT_ETA_GRID = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
-DEFAULT_EPSILON_GRID = (0.01, 0.02, 0.05, 0.1, 0.2)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Fully seeded description of one experiment run.
-
-    ``n``, ``m``, ``fw_iters``, ``epsilon`` and ``sinkhorn_t_max`` left at
-    ``None`` take the scenario's ``SCENARIO_DEFAULTS`` row when the run
-    starts (:meth:`resolved`), and the manifest records the values used.
-    Only the solver comparison reads the grids: it sweeps ``eta_grid`` at
-    ``epsilon`` and ``epsilon_grid`` at ``eta``.  ``SCENARIO_FIELDS``
-    names the fields each scenario reads.
-    """
-
-    scenario: str
-    seed: int = 0
-    out_dir: str = "results"
-    n: int | None = None
-    m: int | None = None
-    eta: float = 1.0
-    epsilon: float | None = None
-    fw_iters: int | None = None
-    eta_grid: tuple = DEFAULT_ETA_GRID
-    epsilon_grid: tuple = DEFAULT_EPSILON_GRID
-    sinkhorn_t_max: int | None = None
-    data_path: str | None = None
-    label_col: str | None = None
-    trials: int = 1
-    top_k: int = 2
-    n_per_class: int = 60
-    n_features: int = 20
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}")
-        if len(self.eta_grid) == 0 or len(self.epsilon_grid) == 0:
-            raise ValueError("parameter grids must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown experiment spec keys: {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("eta_grid", "epsilon_grid"):
-            if key in doc and doc[key] is not None:
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
-
-    def resolved(self, row: str | None = None) -> "ExperimentSpec":
-        """This spec with its ``None`` fields filled from
-        ``SCENARIO_DEFAULTS[row]`` (default: the spec's own scenario)."""
-        defaults = SCENARIO_DEFAULTS[row or self.scenario]
-        return replace(self, **{key: value for key, value in defaults.items()
-                                if getattr(self, key) is None})
-
-
-def _write_manifest(out_dir: Path, spec: ExperimentSpec, wall_time: float,
+def _write_manifest(scenario: str, settings: dict, wall_time: float,
                     outputs, notes=None) -> None:
-    recorded = {"scenario", "seed", "out_dir", *SCENARIO_FIELDS[spec.scenario]}
-    write_json(out_dir / "manifest.json", {
-        "scenario": spec.scenario,
-        "seed": spec.seed,
-        "spec": {key: value for key, value in asdict(spec).items() if key in recorded},
+    """Record a run; ``settings`` is the runner's ``dict(locals())`` taken on
+    entry, i.e. its keyword arguments with the defaults applied."""
+    write_json(Path(settings["out_dir"]) / "manifest.json", {
+        "scenario": scenario,
+        "seed": settings["seed"],
+        "spec": {"scenario": scenario, **settings},
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -132,14 +51,40 @@ def _write_manifest(out_dir: Path, spec: ExperimentSpec, wall_time: float,
     })
 
 
-def run_experiment(spec: ExperimentSpec) -> dict:
-    """Dispatch a spec to its scenario runner."""
-    runner = {
-        "noise_robustness": run_noise_robustness,
-        "solver_comparison": run_solver_comparison,
-        "feature_selection": run_feature_selection,
-    }[spec.scenario]
-    return runner(spec)
+def _runner(scenario: str):
+    if scenario not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {SCENARIOS}")
+    return globals()[f"run_{scenario}"]
+
+
+def _check_settings(settings: dict) -> None:
+    if any(key in settings and len(settings[key]) == 0
+           for key in ("eta_grid", "epsilon_grid")):
+        raise ValueError("parameter grids must be non-empty")
+    if settings.get("trials", 1) < 1:
+        raise ValueError("trials must be at least 1")
+
+
+def settings_read_by(func, settings: dict) -> dict:
+    """The entries of ``settings`` that ``func`` takes as keywords.
+
+    A name that no scenario runner takes, an empty grid or ``trials < 1``
+    raises ``ValueError``; a name that only other runners take is dropped.
+    """
+    known = {name for scenario in SCENARIOS
+             for name in inspect.signature(_runner(scenario)).parameters}
+    unknown = set(settings) - known
+    if unknown:
+        raise ValueError(f"unknown experiment settings: {sorted(unknown)}")
+    _check_settings(settings)
+    params = inspect.signature(func).parameters
+    return {name: value for name, value in settings.items() if name in params}
+
+
+def run_experiment(scenario: str, /, **settings) -> dict:
+    """Run a scenario's ``run_<scenario>`` runner on the settings it reads."""
+    runner = _runner(scenario)
+    return runner(**settings_read_by(runner, settings))
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +92,8 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_noise_robustness(spec: ExperimentSpec) -> dict:
+def run_noise_robustness(*, out_dir="results", seed=0, n=50, m=50, eta=1.0,
+                         epsilon=0.02, fw_iters=10, sinkhorn_t_max=5000) -> dict:
     """Compare entropic OT plans on clean/noisy data with the robust plan.
 
     Generates the two-cluster pair (informative 2-D signal plus an 8-D
@@ -155,14 +101,14 @@ def run_noise_robustness(spec: ExperimentSpec) -> dict:
     the full noisy points, and the group-robust problem on the noisy
     points, and emits all three plans plus the group weights.
     """
+    settings = dict(locals())
     start = time.perf_counter()
-    spec = spec.resolved()
-    out_dir = Path(spec.out_dir)
+    out_dir = Path(out_dir)
 
-    src_clean, dst_clean = synth_generate(spec.n, spec.m, spec.seed, include_noise=False)
-    src, dst = synth_generate(spec.n, spec.m, spec.seed)
+    src_clean, dst_clean = synth_generate(n, m, seed, include_noise=False)
+    src, dst = synth_generate(n, m, seed)
 
-    sink_cfg = SinkhornConfig(epsilon=spec.epsilon, t_max=spec.sinkhorn_t_max)
+    sink_cfg = SinkhornConfig(epsilon=epsilon, t_max=sinkhorn_t_max)
     clean_cost = build_grouped_cost(src_clean, dst_clean, "squared_euclidean").total()
     noisy_costs = build_grouped_cost(src, dst, "squared_euclidean")
 
@@ -170,8 +116,8 @@ def run_noise_robustness(spec: ExperimentSpec) -> dict:
     ot_noisy = sinkhorn_solve(src.weights, dst.weights, noisy_costs.total(), sink_cfg)
     robust = frot_fw_solve(
         src, dst, noisy_costs,
-        FrotConfig(eta=spec.eta, fw_iters=spec.fw_iters, subsolver="sinkhorn",
-                   epsilon=spec.epsilon, sinkhorn_t_max=spec.sinkhorn_t_max),
+        FrotConfig(eta=eta, fw_iters=fw_iters, subsolver="sinkhorn",
+                   epsilon=epsilon, sinkhorn_t_max=sinkhorn_t_max),
     )
 
     outputs = ["ot_clean_plan.csv", "ot_noisy_plan.csv", "robust_plan.csv",
@@ -198,7 +144,7 @@ def run_noise_robustness(spec: ExperimentSpec) -> dict:
         "converged": {"ot_clean": ot_clean.converged, "ot_noisy": ot_noisy.converged},
     }
     write_json(out_dir / "summary.json", summary)
-    _write_manifest(out_dir, spec, time.perf_counter() - start, outputs,
+    _write_manifest("noise_robustness", settings, time.perf_counter() - start, outputs,
                     notes={"signal_covariance_psd_projection": EFFECTIVE_COV.tolist()})
     return summary
 
@@ -212,34 +158,42 @@ def _plan_mse(p1: np.ndarray, p2: np.ndarray) -> float:
     return float(np.mean((p1 - p2) ** 2))
 
 
-def run_solver_comparison(spec: ExperimentSpec) -> dict:
+def run_solver_comparison(*, out_dir="results", seed=0, n=20, m=20, eta=1.0,
+                          epsilon=0.1, fw_iters=50,
+                          eta_grid=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0),
+                          epsilon_grid=(0.01, 0.02, 0.05, 0.1, 0.2),
+                          sinkhorn_t_max=5000) -> dict:
     """Sweep the smoothing strength and the subsolver regularization.
 
     On a fixed two-group instance, solves the exact epigraph LP once, then
-    for every eta in the grid runs Frank-Wolfe with the exact and the
-    entropic subsolver, recording max-cost objectives and the mean squared
-    error between each plan and the LP plan.  A second sweep varies the
-    entropic epsilon at fixed eta = 1.
+    for every value in ``eta_grid`` runs Frank-Wolfe with the exact and the
+    entropic subsolver (at ``epsilon``), recording max-cost objectives and
+    the mean squared error between each plan and the LP plan.  A second
+    sweep runs the entropic subsolver over ``epsilon_grid`` at ``eta``.
+    Both sweeps run ``fw_iters`` iterations; the comparison lets
+    Frank-Wolfe converge rather than using the small fixed budget that
+    suffices for the robustness runs.
     """
+    settings = dict(locals())
+    _check_settings(settings)
     start = time.perf_counter()
-    spec = spec.resolved()
-    out_dir = Path(spec.out_dir)
+    out_dir = Path(out_dir)
 
-    src, dst = comparison_instance(spec.n, spec.m, spec.seed)
+    src, dst = comparison_instance(n, m, seed)
     costs = build_grouped_cost(src, dst, "squared_euclidean")
     lp = frot_lp_solve(costs, src.weights, dst.weights)
 
     eta_rows = []
-    for eta in spec.eta_grid:
+    for grid_eta in eta_grid:
         fw_emd = frot_fw_solve(src, dst, costs,
-                               FrotConfig(eta=eta, fw_iters=spec.fw_iters))
+                               FrotConfig(eta=grid_eta, fw_iters=fw_iters))
         fw_sink = frot_fw_solve(
             src, dst, costs,
-            FrotConfig(eta=eta, fw_iters=spec.fw_iters, subsolver="sinkhorn",
-                       epsilon=spec.epsilon, sinkhorn_t_max=spec.sinkhorn_t_max),
+            FrotConfig(eta=grid_eta, fw_iters=fw_iters, subsolver="sinkhorn",
+                       epsilon=epsilon, sinkhorn_t_max=sinkhorn_t_max),
         )
         eta_rows.append({
-            "eta": eta,
+            "eta": grid_eta,
             "lp_objective": lp.objective,
             "fw_emd_objective": fw_emd.max_group_cost,
             "fw_emd_smoothed": float(fw_emd.objective_trace[-1]),
@@ -250,15 +204,14 @@ def run_solver_comparison(spec: ExperimentSpec) -> dict:
         })
 
     eps_rows = []
-    for eps in spec.epsilon_grid:
+    for grid_epsilon in epsilon_grid:
         fw_sink = frot_fw_solve(
             src, dst, costs,
-            FrotConfig(eta=spec.eta, fw_iters=spec.fw_iters,
-                       subsolver="sinkhorn", epsilon=eps,
-                       sinkhorn_t_max=spec.sinkhorn_t_max),
+            FrotConfig(eta=eta, fw_iters=fw_iters, subsolver="sinkhorn",
+                       epsilon=grid_epsilon, sinkhorn_t_max=sinkhorn_t_max),
         )
         eps_rows.append({
-            "epsilon": eps,
+            "epsilon": grid_epsilon,
             "lp_objective": lp.objective,
             "fw_sinkhorn_objective": fw_sink.max_group_cost,
             "fw_sinkhorn_plan_mse": _plan_mse(lp.plan.matrix, fw_sink.plan.matrix),
@@ -274,7 +227,7 @@ def run_solver_comparison(spec: ExperimentSpec) -> dict:
         "epsilon_sweep": eps_rows,
     }
     write_json(out_dir / "summary.json", summary)
-    _write_manifest(out_dir, spec, time.perf_counter() - start, outputs)
+    _write_manifest("solver_comparison", settings, time.perf_counter() - start, outputs)
     return summary
 
 
@@ -313,24 +266,30 @@ def _standardize(train: np.ndarray, test: np.ndarray):
     return (train - mean) / std, (test - mean) / std
 
 
-def run_feature_selection(spec: ExperimentSpec) -> dict:
+def run_feature_selection(*, out_dir="results", seed=0, eta=1.0, epsilon=0.02,
+                          fw_iters=10, sinkhorn_t_max=300, data_path=None,
+                          label_col=None, trials=1, top_k=2, n_per_class=60,
+                          n_features=20) -> dict:
     """Rank features on train splits and emit rankings plus reduced data.
 
     Each trial splits the labeled data 75/25, standardizes features on the
     training split, and ranks with the robust-transport weights and both
     per-dimension baselines.  Multi-trial mode repeats with derived seeds
     and aggregates how often each feature lands in the top K.  The first
-    trial's rankings and top-K-reduced train/test CSVs are emitted.
+    trial's rankings and top-K-reduced train/test CSVs are emitted.  The
+    labeled data is read from ``data_path`` (label column ``label_col``,
+    default the last), or generated with ``n_per_class`` points per class
+    and ``n_features`` features when no path is given.
     """
+    settings = dict(locals())
+    _check_settings(settings)
     start = time.perf_counter()
-    spec = spec.resolved()
-    out_dir = Path(spec.out_dir)
+    out_dir = Path(out_dir)
 
-    if spec.data_path is not None:
-        X_all, labels_all, names, classes = _load_labeled_csv(spec.data_path, spec.label_col)
+    if data_path is not None:
+        X_all, labels_all, names, classes = _load_labeled_csv(data_path, label_col)
     else:
-        X_all, labels_all = labeled_synthetic(spec.n_per_class, spec.n_features,
-                                              seed=spec.seed)
+        X_all, labels_all = labeled_synthetic(n_per_class, n_features, seed=seed)
         names = [f"f{i}" for i in range(X_all.shape[1])]
         classes = np.array([0.0, 1.0])
 
@@ -338,8 +297,8 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
     top_counts = {method: np.zeros(d, dtype=int) for method in RANK_METHODS}
     trials_out = []
 
-    for trial in range(spec.trials):
-        trial_seed = spec.seed + trial
+    for trial in range(trials):
+        trial_seed = seed + trial
         rng = np.random.default_rng(np.random.SeedSequence((trial_seed, 925)))
         train_idx, test_idx = _train_test_split(X_all.shape[0], rng)
         X_train, X_test = _standardize(X_all[train_idx], X_all[test_idx])
@@ -350,16 +309,15 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
         rankings = {
             "frot": frot_feature_importance(
                 class1, class2,
-                fw_cfg=FrotConfig(eta=spec.eta, fw_iters=spec.fw_iters,
-                                  subsolver="sinkhorn", epsilon=spec.epsilon,
-                                  sinkhorn_t_max=spec.sinkhorn_t_max)),
+                fw_cfg=FrotConfig(eta=eta, fw_iters=fw_iters, subsolver="sinkhorn",
+                                  epsilon=epsilon, sinkhorn_t_max=sinkhorn_t_max)),
             "wasserstein_sort": baseline_rank(class1, class2, "wasserstein_sort"),
             "linear_correlation": baseline_rank(class1, class2, "linear_correlation"),
         }
         entry = {"trial_seed": trial_seed,
                  "n_train": int(train_idx.size), "n_test": int(test_idx.size)}
         for method, ranking in rankings.items():
-            selected = select_top_k(ranking, spec.top_k)
+            selected = select_top_k(ranking, top_k)
             top_counts[method][selected] += 1
             entry[method] = {
                 "order": ranking.order.tolist(),
@@ -374,10 +332,9 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
                     "method": method,
                     "importances": ranking.importances.tolist(),
                     "order": ranking.order.tolist(),
-                    "config": {"eta": spec.eta, "fw_iters": spec.fw_iters,
-                               "epsilon": spec.epsilon,
-                               "sinkhorn_t_max": spec.sinkhorn_t_max,
-                               "top_k": spec.top_k, "standardized": True},
+                    "config": {"eta": eta, "fw_iters": fw_iters, "epsilon": epsilon,
+                               "sinkhorn_t_max": sinkhorn_t_max, "top_k": top_k,
+                               "standardized": True},
                 })
             selected = entry["frot"]["top_k"]
             header = [names[i] for i in selected] + ["label"]
@@ -389,22 +346,21 @@ def run_feature_selection(spec: ExperimentSpec) -> dict:
     outputs = (["rankings.json", "selected_train.csv", "selected_test.csv"]
                + [f"ranking_{method}.json" for method in RANK_METHODS])
     summary = {
-        "top_k": spec.top_k,
+        "top_k": top_k,
         "trials": trials_out,
         "top_k_counts": {m: top_counts[m].tolist() for m in RANK_METHODS},
         "feature_names": names,
     }
     write_json(out_dir / "rankings.json", summary)
-    _write_manifest(out_dir, spec, time.perf_counter() - start, outputs)
+    _write_manifest("feature_selection", settings, time.perf_counter() - start, outputs)
     return summary
 
 
-def emit_synthetic_pair(spec: ExperimentSpec) -> dict:
-    """Generate the synthetic pair, sized by the spec or the ``synth`` row
-    of ``SCENARIO_DEFAULTS``, and write both measures as CSV."""
-    spec = spec.resolved("synth")
-    out_dir = Path(spec.out_dir)
-    src, dst = synth_generate(spec.n, spec.m, spec.seed)
+def emit_synthetic_pair(*, out_dir="results", seed=0, n=20, m=20) -> dict:
+    """Generate the ``n`` x ``m`` synthetic pair and write both measures as
+    CSV."""
+    out_dir = Path(out_dir)
+    src, dst = synth_generate(n, m, seed)
     save_measure_csv(src, out_dir / "source.csv")
     save_measure_csv(dst, out_dir / "target.csv")
     # round-trip guard: the emitted files must reload to the same measures
@@ -412,4 +368,4 @@ def emit_synthetic_pair(spec: ExperimentSpec) -> dict:
     if not np.array_equal(reloaded.points, src.points):
         raise AssertionError("synthetic measure did not round-trip losslessly")
     return {"source": str(out_dir / "source.csv"), "target": str(out_dir / "target.csv"),
-            "n": spec.n, "m": spec.m}
+            "n": n, "m": m}

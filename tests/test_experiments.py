@@ -1,15 +1,14 @@
 import csv
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from frot import experiments, load_measure_csv
 from frot.experiments import (
-    SCENARIO_DEFAULTS,
-    SCENARIO_FIELDS,
     SCENARIOS,
-    ExperimentSpec,
     emit_synthetic_pair,
     run_experiment,
     run_feature_selection,
@@ -29,14 +28,11 @@ def _read_manifest(out_dir):
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="scenario"):
-        ExperimentSpec(scenario="fig_something")
+        run_experiment("fig_something")
     with pytest.raises(ValueError, match="non-empty"):
-        ExperimentSpec(scenario="noise_robustness", eta_grid=())
+        run_experiment("noise_robustness", eta_grid=())
     with pytest.raises(ValueError, match="unknown"):
-        ExperimentSpec.from_dict({"scenario": "noise_robustness", "bogus": 1})
-    spec = ExperimentSpec.from_dict(
-        {"scenario": "solver_comparison", "eta_grid": [0.1, 1.0]})
-    assert spec.eta_grid == (0.1, 1.0)
+        run_experiment("noise_robustness", bogus=1)
 
 
 # small runs of each scenario; the settings under test are left to the case
@@ -62,15 +58,16 @@ def test_manifest_records_the_settings_the_run_used(tmp_path, monkeypatch,
         return configs[-1]
 
     monkeypatch.setattr(experiments, "FrotConfig", recording)
-    run_experiment(ExperimentSpec(scenario=scenario, out_dir=str(tmp_path),
-                                  **_SMALL_RUNS[scenario], **given))
+    run_experiment(scenario, out_dir=str(tmp_path), **_SMALL_RUNS[scenario], **given)
     spec = _read_manifest(tmp_path)["spec"]
+    params = inspect.signature(getattr(experiments, f"run_{scenario}")).parameters
+    defaults = {name: param.default for name, param in params.items()}
     # only the settings the scenario reads, which include every defaulted one
-    assert set(spec) == {"scenario", "seed", "out_dir", *SCENARIO_FIELDS[scenario]}
-    assert set(SCENARIO_DEFAULTS[scenario]) <= set(spec)
+    assert set(spec) == {"scenario", *params}
+    assert set(defaults) <= set(spec)
     assert ("eta_grid" in spec) == (scenario == "solver_comparison")
     assert ("n" in spec) == (scenario != "feature_selection")
-    expected = {**SCENARIO_DEFAULTS[scenario], **_SMALL_RUNS[scenario], **given}
+    expected = {**defaults, **_SMALL_RUNS[scenario], **given}
     for key in ("fw_iters", "epsilon", "sinkhorn_t_max"):
         assert spec[key] == expected[key]
     entropic = [cfg for cfg in configs if cfg.subsolver == "sinkhorn"]
@@ -81,10 +78,8 @@ def test_manifest_records_the_settings_the_run_used(tmp_path, monkeypatch,
 
 
 def test_noise_robustness_artifacts(tmp_path):
-    spec = ExperimentSpec(scenario="noise_robustness", seed=0, n=12, m=12,
-                          out_dir=str(tmp_path / "run"),
-                          sinkhorn_t_max=300)
-    summary = run_noise_robustness(spec)
+    summary = run_noise_robustness(seed=0, n=12, m=12, out_dir=str(tmp_path / "run"),
+                                   sinkhorn_t_max=300)
     out = tmp_path / "run"
     assert summary["informative_group_weight"] >= 0.999
     for name in ("ot_clean_plan.csv", "ot_noisy_plan.csv", "robust_plan.csv",
@@ -105,12 +100,10 @@ def test_noise_robustness_artifacts(tmp_path):
 
 
 def test_noise_robustness_rerun_is_bitwise_identical(tmp_path):
-    spec1 = ExperimentSpec(scenario="noise_robustness", seed=5, n=8, m=8,
-                           out_dir=str(tmp_path / "a"), sinkhorn_t_max=200)
-    spec2 = ExperimentSpec(scenario="noise_robustness", seed=5, n=8, m=8,
-                           out_dir=str(tmp_path / "b"), sinkhorn_t_max=200)
-    run_experiment(spec1)
-    run_experiment(spec2)
+    run_experiment("noise_robustness", seed=5, n=8, m=8,
+                   out_dir=str(tmp_path / "a"), sinkhorn_t_max=200)
+    run_experiment("noise_robustness", seed=5, n=8, m=8,
+                   out_dir=str(tmp_path / "b"), sinkhorn_t_max=200)
     for name in ("ot_clean_plan.csv", "ot_noisy_plan.csv", "robust_plan.csv",
                  "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
@@ -124,11 +117,9 @@ def test_noise_robustness_rerun_is_bitwise_identical(tmp_path):
 
 
 def test_solver_comparison_artifacts(tmp_path):
-    spec = ExperimentSpec(scenario="solver_comparison", seed=1, n=10, m=10,
-                          out_dir=str(tmp_path / "cmp"),
-                          eta_grid=(0.05, 2.0), epsilon_grid=(0.1, 0.05),
-                          fw_iters=30, sinkhorn_t_max=2000)
-    summary = run_solver_comparison(spec)
+    summary = run_solver_comparison(seed=1, n=10, m=10, out_dir=str(tmp_path / "cmp"),
+                                    eta_grid=(0.05, 2.0), epsilon_grid=(0.1, 0.05),
+                                    fw_iters=30, sinkhorn_t_max=2000)
     out = tmp_path / "cmp"
     rows = summary["eta_sweep"]
     assert [row["eta"] for row in rows] == [0.05, 2.0]
@@ -148,10 +139,8 @@ def test_solver_comparison_artifacts(tmp_path):
 
 
 def test_feature_selection_run(tmp_path):
-    spec = ExperimentSpec(scenario="feature_selection", seed=0,
-                          out_dir=str(tmp_path / "fs"), trials=3, top_k=2,
-                          n_per_class=24, n_features=8)
-    summary = run_feature_selection(spec)
+    summary = run_feature_selection(seed=0, out_dir=str(tmp_path / "fs"), trials=3,
+                                    top_k=2, n_per_class=24, n_features=8)
     out = tmp_path / "fs"
     assert len(summary["trials"]) == 3
     counts = np.asarray(summary["top_k_counts"]["frot"])
@@ -172,9 +161,8 @@ def test_feature_selection_run(tmp_path):
 def test_ranking_config_records_the_sinkhorn_budget(tmp_path):
     def config(t_max):
         out = tmp_path / f"t{t_max}"
-        run_feature_selection(ExperimentSpec(
-            scenario="feature_selection", out_dir=str(out), trials=1,
-            sinkhorn_t_max=t_max, **_SMALL_RUNS["feature_selection"]))
+        run_feature_selection(out_dir=str(out), trials=1, sinkhorn_t_max=t_max,
+                              **_SMALL_RUNS["feature_selection"])
         return json.loads((out / "ranking_frot.json").read_text())["config"]
 
     few, many = config(5), config(400)
@@ -192,10 +180,8 @@ def test_feature_selection_from_csv(tmp_path):
         rows.append(",".join(repr(float(v)) for v in feats) + f",{label}")
     data_path = tmp_path / "data.csv"
     data_path.write_text("\n".join(rows) + "\n")
-    spec = ExperimentSpec(scenario="feature_selection", seed=0,
-                          out_dir=str(tmp_path / "fs"), trials=1, top_k=1,
-                          data_path=str(data_path))
-    summary = run_feature_selection(spec)
+    summary = run_feature_selection(seed=0, out_dir=str(tmp_path / "fs"), trials=1,
+                                    top_k=1, data_path=str(data_path))
     assert summary["feature_names"] == ["a", "b", "c"]
     assert summary["trials"][0]["frot"]["top_k"] == [1]
 
@@ -210,10 +196,8 @@ def test_reduced_csv_headers_quote_feature_names(tmp_path):
         rows.append(",".join(repr(float(v)) for v in feats) + f",{label}")
     data_path = tmp_path / "data.csv"
     data_path.write_text("\n".join(rows) + "\n")
-    spec = ExperimentSpec(scenario="feature_selection", seed=0,
-                          out_dir=str(tmp_path / "fs"), trials=1, top_k=2,
-                          data_path=str(data_path))
-    summary = run_feature_selection(spec)
+    summary = run_feature_selection(seed=0, out_dir=str(tmp_path / "fs"), trials=1,
+                                    top_k=2, data_path=str(data_path))
     assert summary["feature_names"] == ["a,b", "c", "d"]
     for split in ("train", "test"):
         with open(tmp_path / "fs" / f"selected_{split}.csv", newline="") as fh:
@@ -225,20 +209,15 @@ def test_reduced_csv_headers_quote_feature_names(tmp_path):
 def test_feature_selection_csv_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,label\n1.0,2.0,0\n3.0,4.0,2\n1.0,1.0,1\n")
-    spec = ExperimentSpec(scenario="feature_selection", data_path=str(path),
-                          out_dir=str(tmp_path / "out"))
     with pytest.raises(ValueError, match="binary label"):
-        run_feature_selection(spec)
-    spec = ExperimentSpec(scenario="feature_selection", data_path=str(path),
-                          label_col="missing", out_dir=str(tmp_path / "out"))
+        run_feature_selection(data_path=str(path), out_dir=str(tmp_path / "out"))
     with pytest.raises(ValueError, match="label column"):
-        run_feature_selection(spec)
+        run_feature_selection(data_path=str(path), label_col="missing",
+                              out_dir=str(tmp_path / "out"))
 
 
 def test_emitted_measures_round_trip(tmp_path):
-    spec = ExperimentSpec(scenario="noise_robustness", seed=2, n=6, m=7,
-                          out_dir=str(tmp_path))
-    info = emit_synthetic_pair(spec)
+    info = emit_synthetic_pair(seed=2, n=6, m=7, out_dir=str(tmp_path))
     src = load_measure_csv(info["source"])
     dst = load_measure_csv(info["target"])
     assert src.points.shape == (6, 10)
@@ -252,3 +231,40 @@ def test_plan_csv_round_trip(tmp_path):
     path = tmp_path / "plan.csv"
     write_plan_csv(path, plan)
     np.testing.assert_array_equal(read_plan_csv(path), plan)
+
+
+def test_solver_comparison_sweeps_epsilon_at_the_eta_setting(tmp_path, monkeypatch):
+    real_config = experiments.FrotConfig
+    etas = []
+
+    def recording(**kwargs):
+        etas.append(kwargs["eta"])
+        return real_config(**kwargs)
+
+    monkeypatch.setattr(experiments, "FrotConfig", recording)
+    run_solver_comparison(out_dir=str(tmp_path), n=6, m=6, eta=0.7,
+                          eta_grid=(0.05, 2.0), epsilon_grid=(0.1, 0.2))
+    # exact and entropic runs per eta_grid value, then the epsilon sweep at eta
+    assert etas == [0.05, 0.05, 2.0, 2.0, 0.7, 0.7]
+
+
+def test_readme_scenario_defaults_are_the_runners_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| scenario | `n` x `m` | `fw_iters` | `epsilon` | `sinkhorn_t_max` |"
+    lines = readme.split(header, 1)[1].splitlines()[2:]
+    rows = {}
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        rows[cells[0]] = cells[1:]
+    assert sorted(rows) == sorted(SCENARIOS)
+    for scenario, (size, fw_iters, epsilon, t_max) in rows.items():
+        params = inspect.signature(getattr(experiments, f"run_{scenario}")).parameters
+        if "n" in params:
+            assert size == f"{params['n'].default} x {params['m'].default}"
+        else:
+            assert size == "(data size)"
+        assert int(fw_iters) == params["fw_iters"].default
+        assert float(epsilon) == params["epsilon"].default
+        assert int(t_max) == params["sinkhorn_t_max"].default

@@ -265,7 +265,9 @@ class TransportPlan:
             np.abs(mat.sum(axis=1) - a).sum(),
             np.abs(mat.sum(axis=0) - b).sum(),
         )
-        return cls(_frozen(mat), float(residual))
+        # mat is the private copy made above
+        mat.setflags(write=False)
+        return cls(mat, float(residual))
 
 
 # ---------------------------------------------------------------------------

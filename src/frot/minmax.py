@@ -80,13 +80,16 @@ def _smoothed_max(phi: np.ndarray, eta: float):
     if eta <= 0:
         raise ValueError("eta must be positive")
     z = phi / eta
-    mx = z.max()
+    # Python's max and count on a short list beat numpy's reductions; NaN
+    # reaches the results through exp and the sums wherever it sits
+    values = z.tolist()
+    mx = max(values)
+    count = values.count(mx)
     shifted = np.exp(z - mx)
-    top = z == mx
-    count = top.sum(dtype=float)
-    rest = np.where(top, 0.0, shifted).sum() / count
-    objective = float(eta * (np.log1p(rest) + np.log(count) + mx))
-    return objective, shifted / shifted.sum()
+    rest = np.where(z == mx, 0.0, shifted).sum() / count
+    # log(1) = 0.0 adds nothing to a unique max
+    lse = np.log1p(rest) + mx if count == 1 else np.log1p(rest) + np.log(count) + mx
+    return float(eta * lse), shifted / shifted.sum()
 
 
 def smoothed_max_objective(plan, costs, eta: float) -> float:
@@ -127,8 +130,9 @@ class FrotConfig:
     equal to the last one solved reuses that plan.  On the 50x50
     synthetic pairs (2 groups) all ten gradients are equal, and a solve
     of 10 iterations including the cost build takes a median of about
-    0.9 ms exact and 33 ms entropic at epsilon = 0.02 (10-s benchmark
-    runs in one session on a 2-vCPU Xeon container, one BLAS thread).
+    0.53 ms exact and 19 ms entropic at epsilon = 0.02 (``bench/run.py``
+    workloads ``fw_exact``, seeds 21-30 and 41-50, and ``fw_entropic``,
+    seeds 31-36, 20-s runs on a 2-vCPU Xeon container, one BLAS thread).
     The iteration starts from the product coupling a b', and each entropic
     subproblem is warm-started from the previous one's column potential.
     """
@@ -256,8 +260,10 @@ def frot_fw_solve(
                 f"init_matrix is not a coupling of the weights (marginal "
                 f"residual {init.marginal_residual:.3g})"
             )
-        P = init.matrix
-    if cfg.subsolver == "sinkhorn":
+        # the iterate is updated in place below; the plan's matrix is read-only
+        P = init.matrix.copy()
+    exact = cfg.subsolver == "exact_emd"
+    if not exact:
         sub_cfg = SinkhornConfig(epsilon=cfg.epsilon, t_max=cfg.sinkhorn_t_max)
     init_g = None
     # the last gradient given to the exact subsolver and its optimal plan
@@ -266,17 +272,19 @@ def frot_fw_solve(
     gap_trace = []
     converged_all = True
     max_residual = 0.0
+    # the gap's and the step's n x m temporaries, one buffer for the solve
+    buf = np.empty_like(P)
 
     for t in range(cfg.fw_iters + 1):
-        phi = flat @ P.ravel()
+        phi = flat.dot(P.ravel())
         objective, alpha = _smoothed_max(phi, cfg.eta)
         objective_trace.append(objective)
         if t == cfg.fw_iters:
             break
 
-        M = (alpha @ flat).reshape(P.shape)
-        if cfg.subsolver == "exact_emd":
-            if np.array_equal(M, M_exact):
+        M = alpha.dot(flat).reshape(P.shape)
+        if exact:
+            if M_exact is not None and (M == M_exact).all():
                 # an exact subproblem is a function of M alone: a gradient
                 # equal to the last one gets the same optimal plan
                 P_hat = P_exact
@@ -299,9 +307,15 @@ def frot_fw_solve(
             converged_all = converged_all and result.converged
             max_residual = max(max_residual, float(result.plan.marginal_residual))
 
-        gap_trace.append(float(np.sum((P - P_hat) * M)))
+        # <P - P_hat, M> and (1 - gamma) P + gamma P_hat, with the same
+        # operations in the same order as those two expressions
+        np.subtract(P, P_hat, out=buf)
+        buf *= M
+        gap_trace.append(float(buf.sum()))
         gamma = 2.0 / (2.0 + t)
-        P = (1.0 - gamma) * P + gamma * P_hat
+        P *= 1.0 - gamma
+        np.multiply(P_hat, gamma, out=buf)
+        P += buf
 
     return FrotSolution(
         plan=TransportPlan.from_matrix(P, a, b),

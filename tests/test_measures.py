@@ -201,6 +201,20 @@ def test_transport_plan_validation():
     assert residual.marginal_residual == pytest.approx(0.5)
 
 
+def test_transport_plan_owns_a_read_only_copy():
+    a = b = np.array([0.5, 0.5])
+    source = np.array([[0.5, -1e-13], [0.0, 0.5]])
+    before = source.copy()
+    plan = TransportPlan.from_matrix(source, a, b)
+    assert not plan.matrix.flags.writeable
+    assert not np.shares_memory(plan.matrix, source)
+    # the clip onto 0 happens in the copy, not in the caller's array
+    assert plan.matrix[0, 1] == 0.0
+    assert source.tobytes() == before.tobytes()
+    with pytest.raises(ValueError):
+        plan.matrix[0, 0] = 1.0
+
+
 def test_transport_plan_rejects_non_finite_entries():
     a = b = np.array([0.5, 0.5])
     # NaN slips past the mass check: abs(nan - 1) > 1e-9 is False

@@ -148,6 +148,34 @@ def test_smoothed_max_matches_scipy_bit_for_bit(phi, eta):
     assert alpha.tobytes() == softmax(phi / eta).tobytes()
 
 
+@pytest.mark.parametrize("position", range(3))
+def test_smoothed_max_propagates_nan_in_any_position(position):
+    phi = np.array([1.0, 2.0, 0.5])
+    phi[position] = np.nan
+    with np.errstate(all="ignore"):
+        objective, alpha = _smoothed_max(phi, 1.0)
+    assert np.isnan(objective)
+    assert np.isnan(alpha).all()
+
+
+@pytest.mark.parametrize("phi", [[np.inf, 1.0], [1.0, np.inf], [0.5, np.inf, np.inf]])
+def test_smoothed_max_of_an_infinite_cost_is_infinite(phi):
+    with np.errstate(all="ignore"):
+        objective, _ = _smoothed_max(np.array(phi), 1.0)
+    assert objective == np.inf
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_smoothed_max_gives_a_minus_infinite_cost_weight_zero(position):
+    phi = np.array([1.0, 2.0, 0.5])
+    phi[position] = -np.inf
+    with np.errstate(all="ignore"):
+        objective, alpha = _smoothed_max(phi, 1.0)
+    assert alpha[position] == 0.0
+    assert np.isfinite(objective)
+    assert alpha.sum() == pytest.approx(1.0, abs=1e-15)
+
+
 @pytest.mark.parametrize("n, m", [(5, 5), (4, 7)])
 def test_stack_products_equal_tensordot_forms(n, m):
     rng = np.random.default_rng(13)
@@ -260,6 +288,40 @@ def test_fw_init_matrix_sets_only_the_first_linearization_point():
     assert warm.objective_trace[0] != cold.objective_trace[0]
     np.testing.assert_array_equal(warm.objective_trace[1:], cold.objective_trace[1:])
     np.testing.assert_array_equal(warm.plan.matrix, cold.plan.matrix)
+
+
+def _solution_bytes(sol):
+    return (sol.plan.matrix.tobytes(), sol.alpha.tobytes(),
+            sol.objective_trace.tobytes(), sol.fw_gap_trace.tobytes(),
+            repr(sol.metadata))
+
+
+@pytest.mark.parametrize("raw_stack", [False, True], ids=["GroupedCost", "raw stack"])
+@pytest.mark.parametrize("subsolver", ["exact_emd", "sinkhorn"])
+@pytest.mark.filterwarnings("ignore:Sinkhorn stopped at t_max:RuntimeWarning")
+def test_fw_leaves_its_inputs_intact(subsolver, raw_stack):
+    rng = np.random.default_rng(47)
+    src, dst = random_grouped_pair(rng, 6, 6, [1, 2])
+    grouped = build_grouped_cost(src, dst, "squared_euclidean")
+    costs = grouped.matrices.copy() if raw_stack else grouped
+    init = random_birkhoff_plan(rng, 6)
+    assert init.flags.writeable
+    snapshot = [init.copy(), grouped.matrices.copy(), src.weights.copy(),
+                dst.weights.copy()]
+    if raw_stack:
+        snapshot.append(costs.copy())
+    cfg = FrotConfig(eta=0.5, fw_iters=6, subsolver=subsolver)
+    first = frot_fw_solve(src, dst, costs, cfg, init_matrix=init)
+    second = frot_fw_solve(src, dst, costs, cfg, init_matrix=init)
+    after = [init, grouped.matrices, src.weights, dst.weights]
+    if raw_stack:
+        after.append(costs)
+    for was, now in zip(snapshot, after):
+        assert now.tobytes() == was.tobytes()
+    # back-to-back solves on the same inputs share no state
+    assert _solution_bytes(first) == _solution_bytes(second)
+    # a read-only start, such as another solution's plan, is accepted too
+    frot_fw_solve(src, dst, costs, cfg, init_matrix=first.plan.matrix)
 
 
 @pytest.mark.parametrize("stack", [np.full((2, 3, 3), np.nan),
@@ -402,13 +464,15 @@ def test_fw_entropic_solves_every_subproblem_of_a_repeated_gradient(monkeypatch)
     assert calls == [(6, 6)] * 6
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_fw_exact_reuse_matches_the_reference_loop_bitwise(seed):
+@pytest.mark.parametrize("seed, n", [(0, 12), (1, 12), (2, 12), (1000, 50)],
+                         ids=["0", "1", "2", "50x50-1000"])
+def test_fw_exact_reuse_matches_the_reference_loop_bitwise(seed, n):
     # the reference loop solves every subproblem; the dominant group makes
-    # the gradient repeat here, so the solver reuses its first plan
-    src, dst = synth_generate(12, 12, seed)
+    # the gradient repeat here, so the solver reuses its first plan.  The
+    # 50 x 50 case is a pair of the fw_exact benchmark's pool
+    src, dst = synth_generate(n, n, seed)
     costs = build_grouped_cost(src, dst, "squared_euclidean")
-    cfg = FrotConfig(eta=1.0)
+    cfg = FrotConfig(eta=1.0, fw_iters=10)
     got = frot_fw_solve(src, dst, costs, cfg)
     ref = reference_fw_solve(src, dst, costs, cfg)
     for field in ("alpha", "objective_trace", "fw_gap_trace"):

@@ -265,9 +265,7 @@ class TransportPlan:
             np.abs(mat.sum(axis=1) - a).sum(),
             np.abs(mat.sum(axis=0) - b).sum(),
         )
-        # mat is the private copy made above
-        mat.setflags(write=False)
-        return cls(mat, float(residual))
+        return cls(_frozen(mat), float(residual))
 
 
 # ---------------------------------------------------------------------------

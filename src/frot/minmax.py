@@ -87,9 +87,8 @@ def _smoothed_max(phi: np.ndarray, eta: float):
     count = values.count(mx)
     shifted = np.exp(z - mx)
     rest = np.where(z == mx, 0.0, shifted).sum() / count
-    # log(1) = 0.0 adds nothing to a unique max
-    lse = np.log1p(rest) + mx if count == 1 else np.log1p(rest) + np.log(count) + mx
-    return float(eta * lse), shifted / shifted.sum()
+    objective = float(eta * (np.log1p(rest) + np.log(count) + mx))
+    return objective, shifted / shifted.sum()
 
 
 def smoothed_max_objective(plan, costs, eta: float) -> float:
@@ -130,9 +129,9 @@ class FrotConfig:
     equal to the last one solved reuses that plan.  On the 50x50
     synthetic pairs (2 groups) all ten gradients are equal, and a solve
     of 10 iterations including the cost build takes a median of about
-    0.53 ms exact and 19 ms entropic at epsilon = 0.02 (``bench/run.py``
-    workloads ``fw_exact``, seeds 21-30 and 41-50, and ``fw_entropic``,
-    seeds 31-36, 20-s runs on a 2-vCPU Xeon container, one BLAS thread).
+    0.53 ms exact and 18 ms entropic at epsilon = 0.02 (``bench/run.py``
+    workloads ``fw_exact``, seeds 61-80, and ``fw_entropic``, seeds 81-84,
+    20-s runs on a 2-vCPU Xeon container, one BLAS thread).
     The iteration starts from the product coupling a b', and each entropic
     subproblem is warm-started from the previous one's column potential.
     """
@@ -262,8 +261,7 @@ def frot_fw_solve(
             )
         # the iterate is updated in place below; the plan's matrix is read-only
         P = init.matrix.copy()
-    exact = cfg.subsolver == "exact_emd"
-    if not exact:
+    if cfg.subsolver == "sinkhorn":
         sub_cfg = SinkhornConfig(epsilon=cfg.epsilon, t_max=cfg.sinkhorn_t_max)
     init_g = None
     # the last gradient given to the exact subsolver and its optimal plan
@@ -272,7 +270,7 @@ def frot_fw_solve(
     gap_trace = []
     converged_all = True
     max_residual = 0.0
-    # the gap's and the step's n x m temporaries, one buffer for the solve
+    # one n x m buffer for the temporaries of the gap and the step
     buf = np.empty_like(P)
 
     for t in range(cfg.fw_iters + 1):
@@ -283,7 +281,7 @@ def frot_fw_solve(
             break
 
         M = alpha.dot(flat).reshape(P.shape)
-        if exact:
+        if cfg.subsolver == "exact_emd":
             if M_exact is not None and (M == M_exact).all():
                 # an exact subproblem is a function of M alone: a gradient
                 # equal to the last one gets the same optimal plan

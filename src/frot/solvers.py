@@ -220,14 +220,11 @@ def _sinkhorn(a, b, C, cfg, init_g):
             else:
                 v_start = v.copy()
                 block = min(_CHECK_EVERY, cfg.t_max - sweeps)
-                # the same BLAS calls as np.dot(K.T, u, out=KTu) and
-                # np.dot(K, v, out=Kv), bound once per block
-                K_dot, KT_dot, divide = K.dot, K.T.dot, np.divide
                 for _ in range(block):
-                    divide(a, Kv, u)
-                    KT_dot(u, KTu)
-                    divide(b, KTu, v)
-                    K_dot(v, Kv)
+                    np.divide(a, Kv, out=u)
+                    np.dot(K.T, u, out=KTu)
+                    np.divide(b, KTu, out=v)
+                    np.dot(K, v, out=Kv)
                 if not _bounded(scalings):
                     v[:] = v_start
                     absorb = True

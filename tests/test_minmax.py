@@ -472,7 +472,7 @@ def test_fw_exact_reuse_matches_the_reference_loop_bitwise(seed, n):
     # 50 x 50 case is a pair of the fw_exact benchmark's pool
     src, dst = synth_generate(n, n, seed)
     costs = build_grouped_cost(src, dst, "squared_euclidean")
-    cfg = FrotConfig(eta=1.0, fw_iters=10)
+    cfg = FrotConfig(eta=1.0)
     got = frot_fw_solve(src, dst, costs, cfg)
     ref = reference_fw_solve(src, dst, costs, cfg)
     for field in ("alpha", "objective_trace", "fw_gap_trace"):

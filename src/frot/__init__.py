@@ -30,14 +30,12 @@ from .minmax import (
     FrotConfig,
     FrotLpResult,
     FrotSolution,
-    MaxminResult,
     alpha_weights,
     frot_fw_solve,
     frot_gradient,
     frot_lp_solve,
     fw_convergence_bound,
     group_costs,
-    maxmin_frot,
     smoothed_max_objective,
 )
 from .solvers import (
@@ -60,7 +58,6 @@ __all__ = [
     "FrwdResult",
     "GroupedCost",
     "GroupedMeasure",
-    "MaxminResult",
     "SinkhornConfig",
     "SinkhornResult",
     "SolverFailure",
@@ -81,7 +78,6 @@ __all__ = [
     "labeled_synthetic",
     "load_measure_csv",
     "load_measure_json",
-    "maxmin_frot",
     "save_measure_csv",
     "save_measure_json",
     "select_top_k",

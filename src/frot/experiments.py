@@ -22,8 +22,9 @@ import scipy
 from . import __version__
 from .feature_selection import (RANK_METHODS, baseline_rank, frot_feature_importance,
                                 select_top_k)
-from .measures import (build_grouped_cost, load_measure_csv, read_csv, save_measure_csv,
-                       write_csv, write_json, write_plan_csv)
+from .measures import (build_grouped_cost, read_csv, save_measure_csv, write_csv, write_json,
+                       write_plan_csv)
+from .measures import load_measure_csv  # noqa: F401 -- bench/tracing.py hooks this name
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
 from .solvers import SinkhornConfig, sinkhorn_solve
 from .synthetic import EFFECTIVE_COV, comparison_instance, labeled_synthetic, synth_generate
@@ -363,9 +364,5 @@ def emit_synthetic_pair(*, out_dir="results", seed=0, n=20, m=20) -> dict:
     src, dst = synth_generate(n, m, seed)
     save_measure_csv(src, out_dir / "source.csv")
     save_measure_csv(dst, out_dir / "target.csv")
-    # round-trip guard: the emitted files must reload to the same measures
-    reloaded = load_measure_csv(out_dir / "source.csv")
-    if not np.array_equal(reloaded.points, src.points):
-        raise AssertionError("synthetic measure did not round-trip losslessly")
     return {"source": str(out_dir / "source.csv"), "target": str(out_dir / "target.csv"),
             "n": n, "m": m}

@@ -16,6 +16,7 @@ import numpy as np
 from .measures import build_grouped_cost, build_grouped_measure
 from .minmax import FrotConfig, frot_fw_solve
 from .solvers import emd_exact_solve  # noqa: F401 -- bench/tracing.py hooks this name
+from .solvers import sorted_wasserstein_1d
 
 RANK_METHODS = ("frot", "wasserstein_sort", "linear_correlation")
 
@@ -91,23 +92,12 @@ def select_top_k(ranking: FeatureRanking, k: int) -> np.ndarray:
     return ranking.order[:k].copy()
 
 
-def _wasserstein1_cdf(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Exact 1-D W1 between uniform samples of any sizes: the integral of
-    |F_x - F_y| over the merged support, with F the empirical CDFs."""
-    xs = np.sort(xs)
-    ys = np.sort(ys)
-    support = np.sort(np.concatenate([xs, ys]))
-    F_x = np.searchsorted(xs, support[:-1], side="right") / xs.size
-    F_y = np.searchsorted(ys, support[:-1], side="right") / ys.size
-    return float(np.sum(np.abs(F_x - F_y) * np.diff(support)))
-
-
 def baseline_rank(class1, class2, method: str) -> FeatureRanking:
     """Per-dimension baseline rankings.
 
     ``wasserstein_sort`` scores each dimension by the exact 1-D Wasserstein
-    distance W1, the integral of the difference between the empirical CDFs
-    of the sorted samples, for any two sample counts.
+    distance W1 of the two classes, from their sorted samples
+    (``solvers.sorted_wasserstein_1d``), for any two sample counts.
     ``linear_correlation`` scores by
     the absolute correlation of the feature with the binary class label;
     constant features score 0 by convention.
@@ -119,7 +109,7 @@ def baseline_rank(class1, class2, method: str) -> FeatureRanking:
 
     if method == "wasserstein_sort":
         for k in range(d):
-            scores[k] = _wasserstein1_cdf(x[:, k], y[:, k])
+            scores[k] = sorted_wasserstein_1d(x[:, k], y[:, k], p=1)
     elif method == "linear_correlation":
         labels = np.concatenate([np.zeros(n), np.ones(m)])
         labels_c = labels - labels.mean()

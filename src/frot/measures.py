@@ -309,13 +309,15 @@ def write_csv(path, rows, header=None) -> None:
 
 
 def read_csv(path):
-    """Read a CSV with a header row: ``(header, data)``, where ``data`` is
+    """Read a CSV with a header row: ``(header, data)``, where ``header``
+    holds the column names stripped of surrounding spaces and ``data`` is
     a float array with one row per non-blank line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty CSV")
+        header = [name.strip() for name in header]
         rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -346,8 +348,7 @@ def load_measure_csv(path) -> GroupedMeasure:
     """Read a measure from CSV: one row per point, columns ``g<k>_*`` declare
     group membership (contiguous, ascending from group 0), and an optional
     last column ``weight`` carries masses."""
-    header, data = read_csv(path)
-    names = [name.strip() for name in header]
+    names, data = read_csv(path)
     weights = None
     if names[-1] == "weight":
         names, data, weights = names[:-1], data[:, :-1], data[:, -1]

@@ -12,6 +12,7 @@ rewrites min-max of linear functions as the epigraph LP min t subject to
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ from .measures import GroupedCost, GroupedMeasure, TransportPlan, _check_cost_st
 from .solvers import (
     SinkhornConfig,
     SolverFailure,
-    _check_marginals,
+    _check_lp_marginals,
     assignment_plan,
     emd_exact_solve,
     sinkhorn_solve,
@@ -156,12 +157,20 @@ class FrotConfig:
             )
         if self.eta < 0:
             raise ValueError("eta must be positive")
-        if self.fw_iters < 1:
-            raise ValueError("fw_iters must be at least 1")
+        if not isinstance(self.fw_iters, numbers.Integral) or self.fw_iters < 1:
+            raise ValueError(
+                f"fw_iters must be an integer of at least 1 (got {self.fw_iters!r})"
+            )
         if self.subsolver not in SUBSOLVERS:
             raise ValueError(f"subsolver must be one of {SUBSOLVERS}")
-        if self.subsolver == "sinkhorn" and self.epsilon <= 0:
-            raise ValueError("sinkhorn subsolver requires epsilon > 0")
+        if self.subsolver == "sinkhorn":
+            try:
+                SinkhornConfig(epsilon=self.epsilon, t_max=self.sinkhorn_t_max)
+            except ValueError as exc:
+                raise ValueError(
+                    f"sinkhorn subsolver rejects epsilon={self.epsilon!r}, "
+                    f"sinkhorn_t_max={self.sinkhorn_t_max!r}: {exc}"
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -347,7 +356,7 @@ def frot_lp_solve(costs, a, b) -> FrotLpResult:
     its iteration count.
     """
     stack = _cost_stack(costs)
-    a, b = _check_marginals(a, b)
+    a, b = _check_lp_marginals(a, b)
     n, m = stack.shape[1:]
     if (n, m) != (a.size, b.size):
         raise ValueError(f"cost stack shape {stack.shape} does not match weights")
@@ -360,33 +369,6 @@ def frot_lp_solve(costs, a, b) -> FrotLpResult:
     # the scaled LP) to the exact zero so p-th roots downstream stay exact
     objective = res.objective if res.x[nm] > 1e-12 else 0.0
     return FrotLpResult(plan=plan, objective=objective, iterations=res.iterations)
-
-
-@dataclass(frozen=True)
-class MaxminResult:
-    group_index: int
-    alpha: np.ndarray
-    distances: np.ndarray
-    tie: bool
-
-
-def maxmin_frot(src: GroupedMeasure, dst: GroupedMeasure, costs) -> MaxminResult:
-    """Max-min variant: pick the single group with the largest OT cost.
-
-    Solves the exact per-group OT problem for every group and returns the
-    argmax group, the corresponding one-hot weight vector, and all
-    per-group distances.  Ties go to the lowest group index and are
-    flagged.
-    """
-    stack = _cost_stack(costs)
-    a, b = src.weights, dst.weights
-    distances = np.array([emd_exact_solve(a, b, C).objective for C in stack])
-    best = int(np.argmax(distances))
-    alpha = np.zeros(stack.shape[0])
-    alpha[best] = 1.0
-    scale = max(abs(distances[best]), 1.0)
-    tie = int(np.sum(distances >= distances[best] - 1e-12 * scale)) > 1
-    return MaxminResult(group_index=best, alpha=alpha, distances=distances, tie=tie)
 
 
 def fw_convergence_bound(costs, eta: float, t: int) -> float:

@@ -105,6 +105,15 @@ def _check_marginals(a, b):
     return a, b
 
 
+def _check_lp_marginals(a, b):
+    """Checked weights for ``solve_lp``, with b rescaled to a's mass (b
+    itself when the masses are equal): HiGHS finds the marginal rows
+    infeasible once the masses differ by more than its 1e-10 tolerance,
+    and ``_check_marginals`` accepts a difference of up to 2e-9."""
+    a, b = _check_marginals(a, b)
+    return a, b * (a.sum() / b.sum())
+
+
 def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_g=None) -> SinkhornResult:
     """Entropic OT by Sinkhorn iteration.
 
@@ -364,10 +373,9 @@ def emd_exact_solve(a, b, C) -> EmdResult:
     Returns a vertex-optimal plan minimizing <P, C>, its objective, and
     the LP duals of the row/column marginal constraints, from HiGHS dual
     simplex through ``solve_lp``, which scales the costs to unit maximum.
+    The plan couples a with b rescaled to a's mass.
     """
-    a, b = _check_marginals(a, b)
-    if abs(a.sum() - b.sum()) > 1e-9:
-        raise ValueError("infeasible: weight sums differ by more than 1e-9")
+    a, b = _check_lp_marginals(a, b)
     C = np.asarray(C, dtype=float)
     if C.shape != (a.shape[0], b.shape[0]):
         raise ValueError(f"cost shape {C.shape} does not match weights")
@@ -409,21 +417,25 @@ def assignment_plan(a, b, C) -> np.ndarray | None:
 
 
 def sorted_wasserstein_1d(xs, ys, p: float = 1.0) -> float:
-    """p-Wasserstein distance between equal-size uniform 1-D samples.
+    """p-Wasserstein distance between uniform 1-D samples of any sizes.
 
-    Sorting gives the optimal monotone coupling, so the distance is
-    (mean_i |x_(i) - y_(i)|^p)^(1/p).
+    In 1-D the optimal coupling pairs the two quantile functions (Peyre &
+    Cuturi 2019, section 2.6).  For n and m sorted samples these are step
+    functions on [0, 1] that change value only at multiples of 1/n and of
+    1/m.  On the integer grid 0 = t_0 <= t_1 <= ... <= t_(n+m) = n m of
+    the merged multiples {i m} and {j n}, the interval (t_(k-1), t_k] / (n m)
+    therefore pairs x_((t_k - 1) // m) with y_((t_k - 1) // n), and
+    W_p^p = sum_k (t_k - t_(k-1)) |x_((t_k - 1) // m) - y_((t_k - 1) // n)|^p / (n m).
+    For n = m this is the mean of |x_(i) - y_(i)|^p.
     """
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    ys = np.asarray(ys, dtype=float).reshape(-1)
-    if xs.size == 0 or ys.size == 0:
+    xs = np.sort(np.asarray(xs, dtype=float).reshape(-1))
+    ys = np.sort(np.asarray(ys, dtype=float).reshape(-1))
+    n, m = xs.size, ys.size
+    if n == 0 or m == 0:
         raise ValueError("samples must be non-empty")
-    if xs.size != ys.size:
-        raise ValueError(
-            f"sorted 1-D fast path requires equal sample counts ({xs.size} vs {ys.size}); "
-            "use emd_exact_solve for the general case"
-        )
     if p < 1:
         raise ValueError("order p must be at least 1")
-    diffs = np.abs(np.sort(xs) - np.sort(ys))
-    return float(np.mean(diffs**p) ** (1.0 / p))
+    t = np.sort(np.concatenate([np.arange(0, n * m + 1, m), np.arange(n, n * m + 1, n)]))
+    last = t[1:] - 1
+    gaps = np.abs(xs[last // m] - ys[last // n])
+    return float((np.diff(t).dot(gaps**p) / (n * m)) ** (1.0 / p))

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import frot
 from frot import build_grouped_measure, save_measure_csv, save_measure_json
 from frot.cli import build_parser, main
 from frot.measures import read_plan_csv
@@ -27,6 +28,12 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_public_names_resolve_once():
+    assert len(set(frot.__all__)) == len(frot.__all__)
+    for name in frot.__all__:
+        assert getattr(frot, name) is not None
 
 
 @pytest.fixture()
@@ -108,6 +115,24 @@ def test_select_features_subcommand(tmp_path, capsys):
     doc = json.loads((out / "rankings.json").read_text())
     assert len(doc["trials"]) == 2
     assert "select-features" in capsys.readouterr().out
+
+
+def test_select_features_finds_a_named_label_column_under_spaced_names(tmp_path):
+    rng = np.random.default_rng(6)
+    rows = ["cls, a, b, c, d"]
+    for _ in range(24):
+        label = rng.integers(0, 2)
+        feats = rng.normal(size=4)
+        feats[2] += 4.0 * label
+        rows.append(f"{label}," + ",".join(repr(float(v)) for v in feats))
+    data = tmp_path / "d.csv"
+    data.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "fs"
+    assert main(["select-features", "--data", str(data), "--label-col", "cls",
+                 "--top-k", "1", "--out", str(out)]) == 0
+    doc = json.loads((out / "rankings.json").read_text())
+    assert doc["feature_names"] == ["a", "b", "c", "d"]
+    assert doc["top_k_counts"]["wasserstein_sort"] == [0, 0, 1, 0]
 
 
 def test_experiment_subcommand_with_config_override(tmp_path):

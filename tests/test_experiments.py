@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frot import experiments, load_measure_csv
+from frot import experiments, load_measure_csv, synth_generate
 from frot.experiments import (
     SCENARIOS,
     emit_synthetic_pair,
@@ -218,11 +218,10 @@ def test_feature_selection_csv_errors(tmp_path):
 
 def test_emitted_measures_round_trip(tmp_path):
     info = emit_synthetic_pair(seed=2, n=6, m=7, out_dir=str(tmp_path))
-    src = load_measure_csv(info["source"])
-    dst = load_measure_csv(info["target"])
-    assert src.points.shape == (6, 10)
-    assert dst.points.shape == (7, 10)
-    assert src.group_widths == (2, 8)
+    for path, measure in zip((info["source"], info["target"]), synth_generate(6, 7, 2)):
+        back = load_measure_csv(path)
+        assert back.points.tobytes() == measure.points.tobytes()
+        assert back.group_widths == measure.group_widths == (2, 8)
 
 
 def test_plan_csv_round_trip(tmp_path):

@@ -5,21 +5,18 @@ from frot import (
     FrotConfig,
     alpha_weights,
     build_grouped_cost,
-    build_grouped_measure,
     emd_exact_solve,
     frot_fw_solve,
     frot_gradient,
     frot_lp_solve,
     fw_convergence_bound,
     group_costs,
-    maxmin_frot,
     sinkhorn_solve,
     smoothed_max_objective,
-    sorted_wasserstein_1d,
     synth_generate,
 )
 from frot.minmax import _smoothed_max, round_to_polytope
-from frot.solvers import SinkhornConfig, assignment_plan
+from frot.solvers import SinkhornConfig, SolverFailure, assignment_plan
 
 from helpers import random_birkhoff_plan, random_grouped_pair, reference_fw_solve
 
@@ -339,6 +336,33 @@ def test_raw_cost_stacks_are_validated(stack):
         group_costs(np.outer(a, b), stack)
 
 
+def test_shape_mismatches_are_rejected():
+    src, dst = random_grouped_pair(np.random.default_rng(0), 3, 4, [1, 1])
+    stack = np.ones((2, 4, 3))
+    with pytest.raises(ValueError, match="does not match measure sizes"):
+        frot_fw_solve(src, dst, stack, FrotConfig(eta=1.0))
+    with pytest.raises(ValueError, match="does not match weights"):
+        frot_lp_solve(stack, src.weights, dst.weights)
+    with pytest.raises(ValueError, match="does not match costs"):
+        group_costs(np.outer(src.weights, dst.weights), stack)
+
+
+def test_fw_names_the_iteration_of_a_failed_subproblem(monkeypatch):
+    calls = []
+
+    def fail_second(a, b, C):
+        calls.append(C.shape)
+        if len(calls) == 2:
+            raise SolverFailure("synthetic breakdown")
+        return emd_exact_solve(a, b, C)
+
+    monkeypatch.setattr("frot.minmax.emd_exact_solve", fail_second)
+    src, dst = random_grouped_pair(np.random.default_rng(3), 4, 5, [1, 2])
+    costs = build_grouped_cost(src, dst, "squared_euclidean")
+    with pytest.raises(SolverFailure, match="at iteration 1: synthetic breakdown"):
+        frot_fw_solve(src, dst, costs, FrotConfig(eta=0.5, fw_iters=5))
+
+
 def _count_lp_calls(monkeypatch):
     calls = []
 
@@ -503,6 +527,15 @@ def test_frot_config_validation():
         FrotConfig(eta=1.0, subsolver="magic")
     with pytest.raises(ValueError, match="fw_iters"):
         FrotConfig(eta=1.0, fw_iters=0)
+    # settings the solve cannot run are rejected at construction
+    with pytest.raises(ValueError, match="fw_iters must be an integer"):
+        FrotConfig(eta=1.0, fw_iters=2.5)
+    with pytest.raises(ValueError, match="sinkhorn_t_max=0: t_max must be at least 1"):
+        FrotConfig(eta=1.0, subsolver="sinkhorn", sinkhorn_t_max=0)
+    with pytest.raises(ValueError, match="epsilon=0.0.*unregularized"):
+        FrotConfig(eta=1.0, subsolver="sinkhorn", epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon=-0.1.*positive"):
+        FrotConfig(eta=1.0, subsolver="sinkhorn", epsilon=-0.1)
 
 
 @pytest.mark.parametrize("eta, epsilon", [(np.nan, 0.02), (np.inf, 0.02),
@@ -565,63 +598,6 @@ def test_lp_size_guard():
     with pytest.raises(ValueError, match="limited"):
         frot_lp_solve(np.zeros((1, 201, 201)), np.full(201, 1 / 201),
                       np.full(201, 1 / 201))
-
-
-# ---------------------------------------------------------------------------
-# max-min variant
-# ---------------------------------------------------------------------------
-
-
-def test_maxmin_single_group():
-    rng = np.random.default_rng(19)
-    src, dst = random_grouped_pair(rng, 4, 4, [2])
-    costs = build_grouped_cost(src, dst, "squared_euclidean")
-    res = maxmin_frot(src, dst, costs)
-    assert res.group_index == 0
-    np.testing.assert_array_equal(res.alpha, [1.0])
-    assert not res.tie
-
-
-def test_maxmin_singleton_groups_match_sort_oracle():
-    rng = np.random.default_rng(20)
-    src, dst = random_grouped_pair(rng, 6, 6, [1, 1, 1])
-    costs = build_grouped_cost(src, dst, "l1")
-    res = maxmin_frot(src, dst, costs)
-    for k in range(3):
-        oracle = sorted_wasserstein_1d(src.points[:, k], dst.points[:, k], p=1)
-        assert res.distances[k] == pytest.approx(oracle, abs=1e-10)
-    assert res.group_index == int(np.argmax(res.distances))
-
-
-def test_maxmin_picks_informative_group():
-    src, dst = synth_generate(15, 15, seed=2)
-    costs = build_grouped_cost(src, dst, "squared_euclidean")
-    res = maxmin_frot(src, dst, costs)
-    assert res.group_index == 0
-    # independent confirmation: informative group carries a larger exact cost
-    d0 = emd_exact_solve(src.weights, dst.weights, costs.matrices[0]).objective
-    d1 = emd_exact_solve(src.weights, dst.weights, costs.matrices[1]).objective
-    assert d0 > d1
-
-
-def test_maxmin_tie_reported_lowest_index():
-    C = np.stack([np.eye(2), np.eye(2)])
-    uniform = np.array([0.5, 0.5])
-    src = build_grouped_measure([[0.0, 0.0], [1.0, 1.0]], [1, 1], uniform)
-    dst = build_grouped_measure([[0.0, 1.0], [1.0, 0.0]], [1, 1], uniform)
-    res = maxmin_frot(src, dst, C)
-    assert res.group_index == 0
-    assert res.tie
-
-
-def test_maxmin_solves_one_exact_ot_per_group(monkeypatch):
-    rng = np.random.default_rng(22)
-    src, dst = random_grouped_pair(rng, 3, 3, [1, 1])
-    costs = build_grouped_cost(src, dst, "squared_euclidean")
-    calls = _count_lp_calls(monkeypatch)
-    res = maxmin_frot(src, dst, costs)
-    assert calls == [(3, 3), (3, 3)]
-    assert res.distances[res.group_index] == max(res.distances)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,17 @@ def test_strictly_positive_weights_required():
                        SinkhornConfig(epsilon=0.1))
 
 
+@pytest.mark.parametrize("C, match", [
+    (np.zeros((2, 3)), "cost shape"),
+    (np.array([[0.0, np.nan], [1.0, 0.0]]), "must be finite"),
+    (np.array([[0.0, np.inf], [1.0, 0.0]]), "must be finite"),
+    (np.array([[0.0, -1.0], [1.0, 0.0]]), "nonnegative"),
+], ids=["shape", "nan", "inf", "negative"])
+def test_sinkhorn_cost_is_checked(C, match):
+    with pytest.raises(ValueError, match=match):
+        sinkhorn_solve([0.5, 0.5], [0.5, 0.5], C, SinkhornConfig(epsilon=0.1))
+
+
 def test_entropy_convention():
     # H(P) = sum p (log p - 1); uniform 2x2 plan
     P = np.full((2, 2), 0.25)
@@ -463,6 +474,19 @@ def test_solve_lp_plan_is_exactly_nonnegative(seed):
     np.testing.assert_array_equal(lp.plan.matrix, plan)
 
 
+@pytest.mark.parametrize("d", [2e-10, 5e-10, 9e-10])
+def test_lp_solvers_accept_every_pair_the_weight_check_accepts(d):
+    # the masses differ by d, within the 1e-9 the weight check allows but
+    # beyond the LP's 1e-10 feasibility tolerance
+    a = np.array([1 / 3, 1 / 3, 1 / 3 + d])
+    b = np.full(3, 1 / 3)
+    C = np.arange(9.0).reshape(3, 3)
+    for x, y in ((a, b), (b, a)):
+        assert emd_exact_solve(x, y, C).objective == pytest.approx(4.0, rel=1e-8)
+        assert frot_lp_solve(np.stack([C, C.T]), x, y).objective == pytest.approx(
+            4.0, rel=1e-8)
+
+
 def test_emd_infeasible_weights_rejected():
     with pytest.raises(ValueError, match="sum to 1"):
         emd_exact_solve([0.6, 0.6], [0.5, 0.5], np.zeros((2, 2)))
@@ -553,7 +577,7 @@ def test_assignment_plan_declines_the_same_weights_as_the_array_scans(a, b, decl
 
 
 # ---------------------------------------------------------------------------
-# sorted 1-D fast path
+# sorted 1-D distance
 # ---------------------------------------------------------------------------
 
 
@@ -577,10 +601,27 @@ def test_sorted_1d_matches_exact_solver(p):
     assert sorted_wasserstein_1d(xs, ys, p=p) == pytest.approx(exact, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_sorted_1d_matches_exact_solver_on_unequal_sizes(p):
+    # continuous samples, and small integers that put ties inside and
+    # across the two samples
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(1, 30, size=2)
+        if seed % 2:
+            xs = rng.integers(0, 4, size=n).astype(float)
+            ys = rng.integers(0, 4, size=m).astype(float)
+        else:
+            xs = rng.normal(size=n)
+            ys = rng.normal(loc=0.5, size=m)
+        D = np.abs(xs[:, None] - ys[None, :]) ** p
+        exact = emd_exact_solve(np.full(n, 1.0 / n), np.full(m, 1.0 / m), D)
+        assert sorted_wasserstein_1d(xs, ys, p=p) == pytest.approx(
+            exact.objective ** (1.0 / p), rel=1e-12, abs=1e-15)
+
+
 def test_sorted_1d_errors():
     with pytest.raises(ValueError, match="non-empty"):
         sorted_wasserstein_1d([], [], p=1)
-    with pytest.raises(ValueError, match="equal sample counts"):
-        sorted_wasserstein_1d([1.0], [1.0, 2.0], p=1)
     with pytest.raises(ValueError, match="at least 1"):
         sorted_wasserstein_1d([1.0], [2.0], p=0.5)

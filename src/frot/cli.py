@@ -5,7 +5,7 @@ feature-selection pipeline, synthetic data generation, and the seeded
 experiment runners.  Each subcommand accepts only the flags it reads.  For
 the ones that call an experiment runner (select-features, synth,
 experiment), a JSON config file passed with --config overrides any flag it
-names.  Exit codes: 0 success, 2 validation error, 1 solver
+names.  Exit codes: 0 success, 2 validation or file error, 1 solver
 failure.
 """
 
@@ -22,6 +22,7 @@ import numpy as np
 from .distances import frwd_distance
 from . import experiments
 from .experiments import SCENARIOS, emit_synthetic_pair, run_experiment
+from .feature_selection import _descending_order
 from .measures import (TransportPlan, build_grouped_cost, load_measure_csv,
                        load_measure_json, write_json, write_plan_csv)
 from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
@@ -33,10 +34,7 @@ EXIT_VALIDATION = 2
 
 
 def _load_measure(path: str):
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"measure file not found: {path}")
-    if path.suffix == ".json":
+    if Path(path).suffix == ".json":
         return load_measure_json(path)
     return load_measure_csv(path)
 
@@ -135,7 +133,7 @@ def cmd_frwd(args) -> int:
 def cmd_select_features(args) -> int:
     summary = run_experiment("feature_selection", **_settings_from_args(args))
     top_k = summary["top_k"]
-    ranked = np.argsort(summary["top_k_counts"]["frot"])[::-1][:top_k]
+    ranked = _descending_order(np.array(summary["top_k_counts"]["frot"]))[:top_k]
     print(f"select-features: top-{top_k} by robust weights across "
           f"{len(summary['trials'])} trial(s): {sorted(ranked.tolist())}")
     return EXIT_OK
@@ -172,7 +170,10 @@ def _settings_from_args(args) -> dict:
             settings[key] = getattr(args, attr)
     if args.config:
         with open(args.config) as fh:
-            settings.update(json.load(fh))
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError(f"{args.config}: a config must be a JSON object")
+        settings.update(config)
     return settings
 
 
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SolverFailure as exc:

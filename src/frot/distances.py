@@ -17,7 +17,7 @@ import numpy as np
 from .measures import GroupedMeasure, TransportPlan, _pairwise_cost, build_grouped_cost
 from .minmax import frot_fw_solve  # noqa: F401 -- bench/tracing.py hooks this name
 from .minmax import check_lp_size, frot_lp_solve, group_costs
-from .solvers import emd_exact_solve
+from .solvers import _check_order, emd_exact_solve
 
 GROUND_METRICS = ("euclidean", "l1")
 
@@ -36,8 +36,7 @@ def wasserstein_p(src: GroupedMeasure, dst: GroupedMeasure,
                   distance_kind: str = "euclidean", p: float = 1.0) -> float:
     """p-Wasserstein distance (min_P <P, D^p>)^(1/p) on the full points,
     solved exactly."""
-    if p < 1:
-        raise ValueError("order p must be at least 1")
+    _check_order(p)
     _check_ground_metric(distance_kind)
     D = _pairwise_cost(src.points, dst.points, distance_kind)
     result = emd_exact_solve(src.weights, dst.weights, D**p)
@@ -75,10 +74,7 @@ def frwd_distance(
     """
     if method != "lp":
         raise ValueError("method must be 'lp'")
-    if p < 1:
-        raise ValueError("order p must be at least 1")
-    if not src.same_group_structure(dst):
-        raise ValueError("measures must share the group structure")
+    _check_order(p)
     _check_ground_metric(distance_kind)
     # fail before the (L, n, m) cost stack is built for a pair the LP refuses
     check_lp_size(src.weights.size, dst.weights.size)

@@ -12,6 +12,7 @@ repr, a quoted header row, and every file written atomically.
 from __future__ import annotations
 
 import inspect
+import numbers
 import platform
 import time
 from pathlib import Path
@@ -69,14 +70,18 @@ def _check_settings(settings: dict) -> None:
 def settings_read_by(func, settings: dict) -> dict:
     """The entries of ``settings`` that ``func`` takes as keywords.
 
-    A name that no scenario runner takes, an empty grid or ``trials < 1``
+    A name that no scenario runner takes, a value that is not an integer
+    where the runners' default is one, an empty grid or ``trials < 1``
     raises ``ValueError``; a name that only other runners take is dropped.
     """
-    known = {name for scenario in SCENARIOS
-             for name in inspect.signature(_runner(scenario)).parameters}
-    unknown = set(settings) - known
+    known = {name: param.default for scenario in SCENARIOS
+             for name, param in inspect.signature(_runner(scenario)).parameters.items()}
+    unknown = set(settings) - set(known)
     if unknown:
         raise ValueError(f"unknown experiment settings: {sorted(unknown)}")
+    for name, value in settings.items():
+        if type(known[name]) is int and not isinstance(value, numbers.Integral):
+            raise ValueError(f"setting {name!r} must be an integer (got {value!r})")
     _check_settings(settings)
     params = inspect.signature(func).parameters
     return {name: value for name, value in settings.items() if name in params}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -25,6 +26,10 @@ _CDIST_METRICS = {"squared_euclidean": "sqeuclidean", "euclidean": "euclidean",
 
 #: construction-time tolerance for clipping tiny negative plan entries
 PLAN_CLIP_TOL = 1e-12
+
+#: explicit weights that sum to 1 this closely are kept as given: w / w.sum()
+#: is not idempotent, and its sum is within 3 eps of 1 (uniform w, n <= 5000)
+UNIT_MASS_TOL = 8 * np.finfo(float).eps
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -89,8 +94,8 @@ def build_grouped_measure(points, group_widths=None, weights=None) -> GroupedMea
         Widths of the L contiguous groups; must sum to d.  When omitted,
         every coordinate becomes its own singleton group (L = d).
     weights : array-like of shape (n,), optional
-        Nonnegative point masses; normalized to sum to 1.  Omitted weights
-        default to uniform 1/n.
+        Nonnegative point masses, divided by their sum unless it is within
+        ``UNIT_MASS_TOL`` of 1.  Omitted weights default to uniform 1/n.
 
     Notes
     -----
@@ -110,8 +115,8 @@ def build_grouped_measure(points, group_widths=None, weights=None) -> GroupedMea
     if group_widths is None:
         widths = [1] * d
     else:
-        widths = [int(w) for w in group_widths]
-        if len(widths) == 0 or any(w < 1 for w in widths):
+        widths = list(group_widths)
+        if not widths or any(not isinstance(w, numbers.Integral) or w < 1 for w in widths):
             raise ValueError("group_widths must be a non-empty list of positive integers")
         if sum(widths) != d:
             raise ValueError(
@@ -142,14 +147,11 @@ def build_grouped_measure(points, group_widths=None, weights=None) -> GroupedMea
         pts = uniq[order]
         w = merged[order]
 
-    w = w / w.sum()
+    if weights is None or abs(w.sum() - 1.0) > UNIT_MASS_TOL:
+        w = w / w.sum()
 
-    bounds = []
-    lo = 0
-    for width in widths:
-        bounds.append((lo, lo + width))
-        lo += width
-    return GroupedMeasure(_frozen(pts), tuple(bounds), _frozen(w))
+    edges = np.cumsum([0, *widths]).tolist()
+    return GroupedMeasure(_frozen(pts), tuple(zip(edges[:-1], edges[1:])), _frozen(w))
 
 
 def _check_cost_stack(matrices) -> np.ndarray:
@@ -381,8 +383,8 @@ def load_measure_json(path) -> GroupedMeasure:
     ``group_widths`` and optional ``weights``."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "points" not in doc:
-        raise ValueError("measure JSON must contain 'points'")
+    if not isinstance(doc, dict) or "points" not in doc:
+        raise ValueError(f"{path}: a measure JSON must be an object with 'points'")
     return build_grouped_measure(
         doc["points"], doc.get("group_widths"), doc.get("weights")
     )

@@ -21,7 +21,7 @@ from .measures import GroupedCost, GroupedMeasure, TransportPlan, _check_cost_st
 from .solvers import (
     SinkhornConfig,
     SolverFailure,
-    _check_lp_marginals,
+    _check_marginals,
     assignment_plan,
     emd_exact_solve,
     sinkhorn_solve,
@@ -356,7 +356,7 @@ def frot_lp_solve(costs, a, b) -> FrotLpResult:
     its iteration count.
     """
     stack = _cost_stack(costs)
-    a, b = _check_lp_marginals(a, b)
+    a, b = _check_marginals(a, b)
     n, m = stack.shape[1:]
     if (n, m) != (a.size, b.size):
         raise ValueError(f"cost stack shape {stack.shape} does not match weights")

@@ -92,26 +92,25 @@ def entropy(plan_matrix: np.ndarray) -> float:
 
 
 def _check_marginals(a, b):
+    """Checked weights for every solver, with b rescaled to a's mass (b
+    itself when the masses are equal): the masses may differ by up to
+    2e-9, beyond HiGHS's 1e-10 feasibility tolerance and Sinkhorn's tol."""
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("weights must be finite (got NaN or inf)")
-    if abs(a.sum() - 1.0) > 1e-9 or abs(b.sum() - 1.0) > 1e-9:
-        raise ValueError(
-            f"weights must each sum to 1 (got {a.sum()} and {b.sum()})"
-        )
+    mass_a, mass_b = a.sum(), b.sum()
+    if abs(mass_a - 1.0) > 1e-9 or abs(mass_b - 1.0) > 1e-9:
+        raise ValueError(f"weights must each sum to 1 (got {mass_a} and {mass_b})")
     if np.any(a < 0) or np.any(b < 0):
         raise ValueError("weights must be nonnegative")
-    return a, b
+    return a, b * (mass_a / mass_b)
 
 
-def _check_lp_marginals(a, b):
-    """Checked weights for ``solve_lp``, with b rescaled to a's mass (b
-    itself when the masses are equal): HiGHS finds the marginal rows
-    infeasible once the masses differ by more than its 1e-10 tolerance,
-    and ``_check_marginals`` accepts a difference of up to 2e-9."""
-    a, b = _check_marginals(a, b)
-    return a, b * (a.sum() / b.sum())
+def _check_order(p) -> None:
+    # NaN fails both comparisons
+    if not 1 <= p < np.inf:
+        raise ValueError(f"order p must be finite and at least 1 (got {p})")
 
 
 def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_g=None) -> SinkhornResult:
@@ -131,7 +130,8 @@ def sinkhorn_solve(a, b, C, cfg: SinkhornConfig, init_g=None) -> SinkhornResult:
     Parameters
     ----------
     a, b : array-like
-        Strictly positive weights, each summing to 1.
+        Strictly positive weights, each summing to 1; b is rescaled to
+        a's mass.
     C : array-like, shape (n, m)
         Finite nonnegative cost matrix.
     cfg : SinkhornConfig
@@ -375,7 +375,7 @@ def emd_exact_solve(a, b, C) -> EmdResult:
     simplex through ``solve_lp``, which scales the costs to unit maximum.
     The plan couples a with b rescaled to a's mass.
     """
-    a, b = _check_lp_marginals(a, b)
+    a, b = _check_marginals(a, b)
     C = np.asarray(C, dtype=float)
     if C.shape != (a.shape[0], b.shape[0]):
         raise ValueError(f"cost shape {C.shape} does not match weights")
@@ -433,8 +433,7 @@ def sorted_wasserstein_1d(xs, ys, p: float = 1.0) -> float:
     n, m = xs.size, ys.size
     if n == 0 or m == 0:
         raise ValueError("samples must be non-empty")
-    if p < 1:
-        raise ValueError("order p must be at least 1")
+    _check_order(p)
     t = np.sort(np.concatenate([np.arange(0, n * m + 1, m), np.arange(n, n * m + 1, n)]))
     last = t[1:] - 1
     gaps = np.abs(xs[last // m] - ys[last // n])

@@ -117,6 +117,15 @@ def test_select_features_subcommand(tmp_path, capsys):
     assert "select-features" in capsys.readouterr().out
 
 
+def test_select_features_breaks_count_ties_toward_the_lower_index(tmp_path, capsys):
+    assert main(["select-features", "--trials", "2", "--top-k", "3", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    counts = json.loads((tmp_path / "rankings.json").read_text())["top_k_counts"]["frot"]
+    # features 7 and 18 tie for the third place
+    assert counts[7] == counts[18] == sorted(counts)[-3]
+    assert capsys.readouterr().out.rstrip().endswith("[0, 1, 7]")
+
+
 def test_select_features_finds_a_named_label_column_under_spaced_names(tmp_path):
     rng = np.random.default_rng(6)
     rows = ["cls, a, b, c, d"]
@@ -153,6 +162,18 @@ def test_validation_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["emd", "--source", "{tmp}", "--target", "{tmp}"],
+    ["select-features", "--config", "{tmp}/missing.json"],
+], ids=["directory as measure", "missing config"])
+def test_file_errors_are_exit_code_2(tmp_path, capsys, argv):
+    code = main([arg.format(tmp=tmp_path) for arg in argv]
+                + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_measure_file_exit_code(tmp_path):

@@ -54,6 +54,25 @@ def test_config_naming_the_scenario_is_exit_code_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, message", [
+    (["select-features"], [1, 2], "must be a JSON object"),
+    (["synth"], [1, 2], "must be a JSON object"),
+    (["experiment", "--scenario", "noise_robustness"], [1, 2], "must be a JSON object"),
+    (["synth"], {"n": "five"}, "setting 'n' must be an integer (got 'five')"),
+    (["experiment", "--scenario", "noise_robustness"], {"n": "five"},
+     "setting 'n' must be an integer (got 'five')"),
+    (["select-features"], {"trials": 1.5}, "setting 'trials' must be an integer (got 1.5)"),
+], ids=["list select-features", "list synth", "list experiment", "string n synth",
+        "string n experiment", "float trials"])
+def test_bad_config_contents_are_exit_code_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sinkhorn_writes_a_coupling_when_the_solve_stops_short(tmp_path):
     pair = tmp_path / "pair"
     assert cli.main(["synth", "--n", "50", "--m", "50", "--out", str(pair)]) == 0

@@ -43,6 +43,21 @@ def test_wasserstein_rejects_bad_order_and_kind():
         wasserstein_p(mu, mu, p=0.5)
     with pytest.raises(ValueError, match="not a metric"):
         wasserstein_p(mu, mu, "squared_euclidean", p=1)
+    with pytest.raises(ValueError, match="unknown ground metric"):
+        wasserstein_p(mu, mu, "cosine_normalized", p=1)
+
+
+@pytest.mark.parametrize("p", [np.inf, np.nan])
+def test_every_distance_takes_only_a_finite_order_of_at_least_1(p):
+    # every distance is below 1, where D**inf is 0 and the p-th root of a
+    # zero objective is 1
+    mu = build_grouped_measure([[0.0, 0.0], [0.5, 0.5]], [1, 1])
+    nu = build_grouped_measure([[0.25, 0.0], [0.5, 0.75]], [1, 1])
+    for distance in (lambda: sorted_wasserstein_1d([0.0, 0.5], [0.25, 0.5], p=p),
+                     lambda: wasserstein_p(mu, nu, p=p),
+                     lambda: frwd_distance(mu, nu, p=p)):
+        with pytest.raises(ValueError, match="finite and at least 1"):
+            distance()
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +188,7 @@ def test_frwd_requires_shared_structure_and_valid_order():
     rng = np.random.default_rng(10)
     src = build_grouped_measure(rng.normal(size=(3, 4)), [2, 2])
     dst = build_grouped_measure(rng.normal(size=(3, 4)), [1, 3])
-    with pytest.raises(ValueError, match="group structure"):
+    with pytest.raises(ValueError, match=r"group structures differ: \(2, 2\) vs \(1, 3\)"):
         frwd_distance(src, dst)
     with pytest.raises(ValueError, match="at least 1"):
         frwd_distance(src, src, p=0.9)

@@ -33,6 +33,11 @@ def test_spec_validation():
         run_experiment("noise_robustness", eta_grid=())
     with pytest.raises(ValueError, match="unknown"):
         run_experiment("noise_robustness", bogus=1)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_experiment("feature_selection", trials=0)
+    for setting in ({"n": "five"}, {"trials": 1.5}, {"seed": 0.0}):
+        with pytest.raises(ValueError, match=f"'{next(iter(setting))}' must be an integer"):
+            run_experiment("noise_robustness", **setting)
 
 
 # small runs of each scenario; the settings under test are left to the case
@@ -221,6 +226,7 @@ def test_emitted_measures_round_trip(tmp_path):
     for path, measure in zip((info["source"], info["target"]), synth_generate(6, 7, 2)):
         back = load_measure_csv(path)
         assert back.points.tobytes() == measure.points.tobytes()
+        assert back.weights.tobytes() == measure.weights.tobytes()
         assert back.group_widths == measure.group_widths == (2, 8)
 
 

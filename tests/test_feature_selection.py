@@ -184,6 +184,8 @@ def test_class_shape_validation():
         frot_feature_importance(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="at least one sample"):
         frot_feature_importance(np.zeros((0, 2)), np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="2-D"):
+        frot_feature_importance(np.zeros(3), np.zeros((3, 1)))
 
 
 def test_labeled_synthetic_layout():

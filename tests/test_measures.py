@@ -12,6 +12,7 @@ from frot import (
     load_measure_json,
     save_measure_csv,
     save_measure_json,
+    synth_generate,
 )
 
 
@@ -20,6 +21,18 @@ def test_uniform_default_weights():
     assert mu.n_groups == 1
     np.testing.assert_allclose(mu.weights, [0.25, 0.25, 0.25, 0.25])
     assert abs(mu.weights.sum() - 1.0) < 1e-12
+
+
+def test_one_dimensional_points_are_one_column():
+    mu = build_grouped_measure([0.0, 1.0, 2.0])
+    assert mu.points.shape == (3, 1)
+    assert mu.group_bounds == ((0, 1),)
+
+
+def test_numpy_integer_group_widths_accepted():
+    mu = build_grouped_measure(np.zeros((2, 3)), np.array([1, 2]))
+    assert mu.group_bounds == ((0, 1), (1, 3))
+    assert all(type(edge) is int for bound in mu.group_bounds for edge in bound)
 
 
 def test_default_grouping_is_per_feature():
@@ -58,6 +71,10 @@ def test_duplicate_points_merged_preserving_order():
         (np.zeros((3, 2)), [2], [0.0, 0.0, 0.0], "zero"),
         (np.zeros((3, 2)), [2], [1.0, -0.5, 1.0], "nonnegative"),
         (np.zeros((3, 2)), [0, 2], None, "positive"),
+        (np.zeros((3, 3)), [1.5, 1.5], None, "positive integers"),
+        (np.array([[0.0, np.nan]]), [2], None, "points must be finite"),
+        (np.zeros((3, 2)), [2], [1.0, 1.0], "length 2, expected 3"),
+        (np.zeros((3, 2)), [2], [1.0, np.inf, 1.0], "weights must be finite"),
     ],
 )
 def test_construction_errors(points, widths, weights, match):
@@ -119,6 +136,14 @@ def test_cosine_rescales_before_comparing():
     dst = build_grouped_measure([[0.0, 5.0]], [2])
     cost = build_grouped_cost(src, dst, "cosine_normalized")
     assert cost.matrices[0, 0, 0] == pytest.approx(2.0)
+
+
+def test_cost_kind_and_cosine_range_checked():
+    mu = build_grouped_measure([[1.0, 0.0]], [2])
+    with pytest.raises(ValueError, match="unknown cost_kind"):
+        build_grouped_cost(mu, mu, "cosine")
+    with pytest.raises(ValueError, match=r"lie in \[0, 4\]"):
+        GroupedCost(np.full((1, 2, 2), 5.0), "cosine_normalized")
 
 
 def test_cosine_zero_norm_rejected():
@@ -254,6 +279,12 @@ def test_csv_header_errors(tmp_path):
     path.write_text("g0_0,g0_1\n1.0,2.0\n3.0\n")
     with pytest.raises(ValueError, match=r"rows of \[1, 2\] values under a 2-name"):
         load_measure_csv(path)
+    path.write_text("g0_0,weight\n")
+    with pytest.raises(ValueError, match="no data rows"):
+        load_measure_csv(path)
+    path.write_text("weight\n1.0\n")
+    with pytest.raises(ValueError, match="no feature columns"):
+        load_measure_csv(path)
 
 
 def test_measure_files_are_written_atomically(tmp_path, monkeypatch):
@@ -286,3 +317,24 @@ def test_json_round_trip(tmp_path):
     assert back.group_bounds == mu.group_bounds
     doc = json.loads(path.read_text())
     assert set(doc) == {"points", "group_widths", "weights"}
+
+
+@pytest.mark.parametrize("doc", [{"weights": [1.0]}, [[0.0, 1.0]], 3])
+def test_json_without_points_rejected(tmp_path, doc):
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="an object with 'points'"):
+        load_measure_json(path)
+
+
+def test_measures_reload_bit_for_bit(tmp_path):
+    # w / w.sum() is not idempotent (1/6 alternates between two neighbouring
+    # doubles), so a reload must keep weights that already sum to 1
+    for n in range(1, 200):
+        src, _ = synth_generate(n, 3, 0)
+        for save, load in ((save_measure_csv, load_measure_csv),
+                           (save_measure_json, load_measure_json)):
+            save(src, tmp_path / "measure")
+            back = load(tmp_path / "measure")
+            assert back.points.tobytes() == src.points.tobytes()
+            assert back.weights.tobytes() == src.weights.tobytes(), (n, save.__name__)

@@ -274,6 +274,18 @@ def test_non_convergence_is_flagged_not_fatal():
     assert result.iterations == 3
 
 
+def test_sinkhorn_balances_masses_the_weight_check_accepts():
+    # the masses differ by 1.8e-9, and each passes the 1e-9 sum check; the
+    # columns are exact after every sweep, so unless b is given a's mass
+    # the row residual cannot fall below that gap, which is above tol
+    a = np.full(3, 1 / 3 + 3e-10)
+    b = np.full(3, 1 / 3 - 3e-10)
+    C = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))
+    result = sinkhorn_solve(a, b, C, SinkhornConfig(epsilon=1.0, t_max=20000))
+    assert result.converged
+    assert result.iterations < 100
+
+
 def test_strictly_positive_weights_required():
     with pytest.raises(ValueError, match="strictly positive"):
         sinkhorn_solve([1.0, 0.0], [0.5, 0.5], np.zeros((2, 2)),
@@ -495,6 +507,8 @@ def test_emd_infeasible_weights_rejected():
         emd_exact_solve([1.5, -0.5], [0.5, 0.5], np.zeros((2, 2)))
     with pytest.raises(ValueError, match="finite"):
         emd_exact_solve([0.5, 0.5], [0.5, 0.5], np.array([[np.nan, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="cost shape"):
+        emd_exact_solve([0.5, 0.5], [0.5, 0.5], np.zeros((2, 3)))
 
 
 @st.composite

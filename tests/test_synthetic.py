@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frot import comparison_instance, synth_generate
+from frot import comparison_instance, labeled_synthetic, synth_generate
 from frot.synthetic import EFFECTIVE_COV, RAW_COV, _psd_projection
 
 
@@ -63,6 +63,12 @@ def test_effective_covariance_is_psd_projection():
 def test_sample_counts_validated():
     with pytest.raises(ValueError, match="positive"):
         synth_generate(0, 5)
+    with pytest.raises(ValueError, match="positive"):
+        comparison_instance(5, 0)
+    with pytest.raises(ValueError, match="n_per_class"):
+        labeled_synthetic(0)
+    with pytest.raises(ValueError, match="out of range"):
+        labeled_synthetic(5, n_features=3, informative=(3,))
 
 
 def test_comparison_instance_properties():

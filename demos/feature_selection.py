@@ -6,13 +6,9 @@ sort-Wasserstein and linear-correlation baselines agree here, but the
 transport ranking comes with a coupling of the two classes for free.
 """
 
-import warnings
-
 import numpy as np
 
 from frot import baseline_rank, frot_feature_importance, labeled_synthetic, select_top_k
-
-warnings.filterwarnings("ignore", message="Sinkhorn stopped")
 
 X, labels = labeled_synthetic(n_per_class=50, n_features=20, informative=(3, 11),
                               shift=5.0, seed=1)

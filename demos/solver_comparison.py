@@ -6,8 +6,6 @@ an entropic subproblem the plan sharpens onto the LP plan as epsilon
 shrinks.
 """
 
-import warnings
-
 import numpy as np
 
 from frot import (
@@ -18,8 +16,6 @@ from frot import (
     frot_lp_solve,
     group_costs,
 )
-
-warnings.filterwarnings("ignore", message="Sinkhorn stopped")
 
 src, dst = comparison_instance(20, 20, seed=1)
 costs = build_grouped_cost(src, dst, "squared_euclidean")

@@ -19,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .distances import frwd_distance
+from .distances import GROUND_METRICS, frwd_distance
 from . import experiments
 from .experiments import SCENARIOS, emit_synthetic_pair, run_experiment
 from .feature_selection import _descending_order
 from .measures import (TransportPlan, build_grouped_cost, load_measure_csv,
                        load_measure_json, write_json, write_plan_csv)
-from .minmax import FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
+from .minmax import SUBSOLVERS, FrotConfig, frot_fw_solve, frot_lp_solve, round_to_polytope
 from .solvers import SinkhornConfig, SolverFailure, emd_exact_solve, sinkhorn_solve
 
 EXIT_OK = 0
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frot", help="group-robust min-max transport")
     _add_pair_inputs(p)
     _add_shared(p, "--eta", "--epsilon", "--iters")
-    p.add_argument("--solver", choices=("exact_emd", "sinkhorn", "lp"),
+    p.add_argument("--solver", choices=(*SUBSOLVERS, "lp"),
                    default="exact_emd", help="subproblem solver, or exact LP")
     p.set_defaults(func=cmd_frot)
 
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--p", type=float, default=2.0, help="distance order")
-    p.add_argument("--distance", choices=("euclidean", "l1"), default="euclidean")
+    p.add_argument("--distance", choices=GROUND_METRICS, default="euclidean")
     _add_shared(p)
     p.set_defaults(func=cmd_frwd)
 

@@ -70,9 +70,10 @@ def _check_settings(settings: dict) -> None:
 def settings_read_by(func, settings: dict) -> dict:
     """The entries of ``settings`` that ``func`` takes as keywords.
 
-    A name that no scenario runner takes, a value that is not an integer
-    where the runners' default is one, an empty grid or ``trials < 1``
-    raises ``ValueError``; a name that only other runners take is dropped.
+    A name that no scenario runner takes, a non-integer where the runners'
+    default is an integer, a non-number where it is a float, an empty grid
+    or ``trials < 1`` raises ``ValueError``; a name that only other runners
+    take is dropped.
     """
     known = {name: param.default for scenario in SCENARIOS
              for name, param in inspect.signature(_runner(scenario)).parameters.items()}
@@ -82,6 +83,8 @@ def settings_read_by(func, settings: dict) -> dict:
     for name, value in settings.items():
         if type(known[name]) is int and not isinstance(value, numbers.Integral):
             raise ValueError(f"setting {name!r} must be an integer (got {value!r})")
+        if type(known[name]) is float and not isinstance(value, numbers.Real):
+            raise ValueError(f"setting {name!r} must be a number (got {value!r})")
     _check_settings(settings)
     params = inspect.signature(func).parameters
     return {name: value for name, value in settings.items() if name in params}
@@ -110,21 +113,18 @@ def run_noise_robustness(*, out_dir="results", seed=0, n=50, m=50, eta=1.0,
     settings = dict(locals())
     start = time.perf_counter()
     out_dir = Path(out_dir)
+    sink_cfg = SinkhornConfig(epsilon=epsilon, t_max=sinkhorn_t_max)
+    fw_cfg = FrotConfig(eta=eta, fw_iters=fw_iters, subsolver="sinkhorn",
+                        epsilon=epsilon, sinkhorn_t_max=sinkhorn_t_max)
 
     src_clean, dst_clean = synth_generate(n, m, seed, include_noise=False)
     src, dst = synth_generate(n, m, seed)
-
-    sink_cfg = SinkhornConfig(epsilon=epsilon, t_max=sinkhorn_t_max)
     clean_cost = build_grouped_cost(src_clean, dst_clean, "squared_euclidean").total()
     noisy_costs = build_grouped_cost(src, dst, "squared_euclidean")
 
     ot_clean = sinkhorn_solve(src_clean.weights, dst_clean.weights, clean_cost, sink_cfg)
     ot_noisy = sinkhorn_solve(src.weights, dst.weights, noisy_costs.total(), sink_cfg)
-    robust = frot_fw_solve(
-        src, dst, noisy_costs,
-        FrotConfig(eta=eta, fw_iters=fw_iters, subsolver="sinkhorn",
-                   epsilon=epsilon, sinkhorn_t_max=sinkhorn_t_max),
-    )
+    robust = frot_fw_solve(src, dst, noisy_costs, fw_cfg)
 
     outputs = ["ot_clean_plan.csv", "ot_noisy_plan.csv", "robust_plan.csv",
                "summary.json"]
@@ -147,7 +147,8 @@ def run_noise_robustness(*, out_dir="results", seed=0, n=50, m=50, eta=1.0,
             "ot_noisy": ot_noisy.plan.marginal_residual,
             "robust": robust.plan.marginal_residual,
         },
-        "converged": {"ot_clean": ot_clean.converged, "ot_noisy": ot_noisy.converged},
+        "converged": {"ot_clean": ot_clean.converged, "ot_noisy": ot_noisy.converged,
+                      "robust": robust.metadata["subsolver_converged_all"]},
     }
     write_json(out_dir / "summary.json", summary)
     _write_manifest("noise_robustness", settings, time.perf_counter() - start, outputs,

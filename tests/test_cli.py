@@ -13,10 +13,6 @@ from frot.cli import build_parser, main
 from frot.measures import read_plan_csv
 from frot.solvers import SolverFailure
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:Sinkhorn stopped at t_max:RuntimeWarning"
-)
-
 
 def test_import_leaves_scipy_stats_unloaded():
     # nothing in frot needs scipy.stats, and importing it would add about

@@ -8,10 +8,6 @@ import pytest
 from frot import cli, load_measure_csv
 from frot.measures import build_grouped_cost, read_plan_csv
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:Sinkhorn stopped at t_max:RuntimeWarning"
-)
-
 
 def _pass_through(fn):
     # a wrapper that hides the signature, like the benchmark's tracer
@@ -62,8 +58,12 @@ def test_config_naming_the_scenario_is_exit_code_2(tmp_path, capsys, command):
     (["experiment", "--scenario", "noise_robustness"], {"n": "five"},
      "setting 'n' must be an integer (got 'five')"),
     (["select-features"], {"trials": 1.5}, "setting 'trials' must be an integer (got 1.5)"),
+    (["experiment", "--scenario", "noise_robustness"], {"eta": "x"},
+     "setting 'eta' must be a number (got 'x')"),
+    (["select-features"], {"epsilon": "x"}, "setting 'epsilon' must be a number (got 'x')"),
 ], ids=["list select-features", "list synth", "list experiment", "string n synth",
-        "string n experiment", "float trials"])
+        "string n experiment", "float trials", "string eta experiment",
+        "string epsilon select-features"])
 def test_bad_config_contents_are_exit_code_2(tmp_path, capsys, command, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -17,10 +17,6 @@ from frot.experiments import (
 )
 from frot.measures import read_plan_csv, write_plan_csv
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:Sinkhorn stopped at t_max:RuntimeWarning"
-)
-
 
 def _read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
@@ -38,6 +34,19 @@ def test_spec_validation():
     for setting in ({"n": "five"}, {"trials": 1.5}, {"seed": 0.0}):
         with pytest.raises(ValueError, match=f"'{next(iter(setting))}' must be an integer"):
             run_experiment("noise_robustness", **setting)
+    for setting in ({"eta": "x"}, {"epsilon": None}):
+        with pytest.raises(ValueError, match=f"'{next(iter(setting))}' must be a number"):
+            run_experiment("noise_robustness", **setting)
+
+
+def test_noise_robustness_checks_its_solver_settings_before_solving(tmp_path, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the settings were checked")
+
+    monkeypatch.setattr(experiments, "sinkhorn_solve", no_solve)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        run_experiment("noise_robustness", eta=-1.0, out_dir=str(tmp_path / "run"))
+    assert not (tmp_path / "run").exists()
 
 
 # small runs of each scenario; the settings under test are left to the case
@@ -102,6 +111,11 @@ def test_noise_robustness_artifacts(tmp_path):
     assert manifest["schema_version"] == "1"
     assert manifest["spec"]["seed"] == 0
     assert "signal_covariance_psd_projection" in manifest["notes"]
+    # the robust solve's entropic subproblems are reported beside the two
+    # standalone solves
+    converged = json.loads((out / "summary.json").read_text())["converged"]
+    assert sorted(converged) == ["ot_clean", "ot_noisy", "robust"]
+    assert all(isinstance(flag, bool) for flag in converged.values())
 
 
 def test_noise_robustness_rerun_is_bitwise_identical(tmp_path):

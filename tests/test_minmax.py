@@ -295,7 +295,6 @@ def _solution_bytes(sol):
 
 @pytest.mark.parametrize("raw_stack", [False, True], ids=["GroupedCost", "raw stack"])
 @pytest.mark.parametrize("subsolver", ["exact_emd", "sinkhorn"])
-@pytest.mark.filterwarnings("ignore:Sinkhorn stopped at t_max:RuntimeWarning")
 def test_fw_leaves_its_inputs_intact(subsolver, raw_stack):
     rng = np.random.default_rng(47)
     src, dst = random_grouped_pair(rng, 6, 6, [1, 2])
@@ -413,7 +412,6 @@ def test_fw_assignment_path_matches_lp_path(monkeypatch):
     (7, 7, False),    # non-uniform weights: transportation LP
 ], ids=["square uniform", "non-square", "non-uniform"])
 @pytest.mark.parametrize("subsolver", ["exact_emd", "sinkhorn"])
-@pytest.mark.filterwarnings("ignore:Sinkhorn stopped at t_max:RuntimeWarning")
 def test_fw_matches_tensordot_scipy_reference(n, m, uniform, subsolver):
     rng = np.random.default_rng(42)
     src, dst = random_grouped_pair(rng, n, m, [1, 2, 2], uniform_weights=uniform)
@@ -476,7 +474,6 @@ def test_fw_exact_reuses_the_lp_plan_of_a_repeated_gradient(monkeypatch):
     assert calls == [(6, 7)]
 
 
-@pytest.mark.filterwarnings("ignore:Sinkhorn stopped at t_max:RuntimeWarning")
 def test_fw_entropic_solves_every_subproblem_of_a_repeated_gradient(monkeypatch):
     # each Sinkhorn call is warm-started from the last one, so an equal
     # gradient is still a different computation
